@@ -6,7 +6,7 @@
 //   (b) residual bypass into the representation layer: on (paper) vs off
 //   (c) convolution window sets: {1} vs {1,3} vs {1,3,5} (paper)
 //   (d) theta_r sensitivity (paper: "training is not very sensitive")
-//   (e) semantic baselines: LDA / PLSA topic-similarity features vs the
+//   (e) semantic baselines: LDA topic-similarity features vs the
 //       CNN representation features in the combiner (paper §1-2 argument)
 //   (f) transiency sweep: CF's gain over base features as event lifespans
 //       shrink (the paper's motivation for why CF fails on events)
@@ -19,7 +19,6 @@
 #include "bench/common/bench_profile.h"
 #include "evrec/eval/table_printer.h"
 #include "evrec/topics/lda.h"
-#include "evrec/topics/plsa.h"
 #include "evrec/util/math_util.h"
 #include "evrec/util/string_util.h"
 
@@ -126,7 +125,7 @@ int main() {
     table.Print();
   }
 
-  // ---- (e) LDA / PLSA semantic features vs representation features ----
+  // ---- (e) LDA semantic features vs representation features ----
   {
     pipeline::PipelineConfig cfg = AblationProfile();
     pipeline::TwoStagePipeline p(cfg);

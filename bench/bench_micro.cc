@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark): kernel and serving-path costs —
 // tokenization, encoding, convolution forward/backward, tower inference,
-// GBDT training and prediction, KV cache, and the cached-vs-uncached
-// pairwise scoring path that motivates the paper's §4 serving design.
+// GBDT training and prediction, and the stored-vs-recomputed pairwise
+// scoring path that motivates the paper's §4 serving design.
 
 #include <benchmark/benchmark.h>
 
@@ -10,7 +10,7 @@
 #include "evrec/la/matrix.h"
 #include "evrec/la/vec_ops.h"
 #include "evrec/model/joint_model.h"
-#include "evrec/store/rep_cache.h"
+#include "evrec/store/rep_table.h"
 #include "evrec/text/encoder.h"
 #include "evrec/text/normalizer.h"
 #include "evrec/util/math_util.h"
@@ -131,20 +131,18 @@ void BM_PairSimilarityUncached(benchmark::State& state) {
 BENCHMARK(BM_PairSimilarityUncached);
 
 void BM_PairSimilarityCached(benchmark::State& state) {
-  // The paper's serving path: vectors precomputed and cached; pairwise
-  // scoring is one cosine.
+  // The paper's serving path: vectors precomputed and stored by id;
+  // pairwise scoring is two lookups and one cosine.
   auto& f = GetModelFixture();
-  store::RepVectorCache cache(4, 1024);
-  cache.Precompute(store::EntityKind::kUser, 1,
-                   f.model->UserVector(f.user_inputs));
-  cache.Precompute(store::EntityKind::kEvent, 1,
-                   f.model->EventVector(f.event_inputs));
-  auto miss = []() { return std::vector<float>(); };
+  store::RepTable table;
+  table.Put(store::EntityKind::kUser, 1, f.model->UserVector(f.user_inputs));
+  table.Put(store::EntityKind::kEvent, 1,
+            f.model->EventVector(f.event_inputs));
   for (auto _ : state) {
-    auto u = cache.GetOrCompute(store::EntityKind::kUser, 1, miss);
-    auto e = cache.GetOrCompute(store::EntityKind::kEvent, 1, miss);
-    benchmark::DoNotOptimize(
-        CosineSimilarity(u.data(), e.data(), static_cast<int>(u.size())));
+    const std::vector<float>* u = table.Find(store::EntityKind::kUser, 1);
+    const std::vector<float>* e = table.Find(store::EntityKind::kEvent, 1);
+    benchmark::DoNotOptimize(CosineSimilarity(
+        u->data(), e->data(), static_cast<int>(u->size())));
   }
 }
 BENCHMARK(BM_PairSimilarityCached);
@@ -201,20 +199,6 @@ void BM_GbdtPredict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GbdtPredict);
-
-void BM_KvCacheGet(benchmark::State& state) {
-  store::ShardedKvCache cache(16, 4096);
-  Rng rng(6);
-  std::vector<float> value(64, 1.0f);
-  for (uint64_t k = 0; k < 10000; ++k) cache.Put(k, value);
-  uint64_t key = 0;
-  std::vector<float> out;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.Get(key % 10000, &out));
-    ++key;
-  }
-}
-BENCHMARK(BM_KvCacheGet);
 
 // --- SIMD kernel layer (la/simd/) ---
 

@@ -96,8 +96,8 @@ int main() {
     metrics[key] = value;
   }
   // SIMD kernel-layer throughput (dot/gemv/score-block ns/op, scalar-tier
-  // speedups, and flat-vs-legacy candidate-scoring rate) so bench_diff
-  // gates kernel regressions alongside model quality.
+  // speedups, and the flat candidate-scoring rate) so bench_diff gates
+  // kernel regressions alongside model quality.
   for (const auto& [key, value] : bench::KernelThroughputMetrics()) {
     metrics[key] = value;
   }

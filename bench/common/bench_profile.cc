@@ -19,7 +19,6 @@
 #include "evrec/obs/trace.h"
 #include "evrec/util/clock.h"
 #include "evrec/util/csv_writer.h"
-#include "evrec/util/math_util.h"
 #include "evrec/util/rng.h"
 #include "evrec/util/string_util.h"
 #include "evrec/util/thread_pool.h"
@@ -301,21 +300,17 @@ std::map<std::string, double> KernelThroughputMetrics() {
   }
 
   // The serving scorer end to end: cosine-score kCands candidates against
-  // one query, flat blocked layout vs the per-candidate std::vector +
-  // double-precision-cosine loop it replaced (the pre-SIMD serving path).
+  // one query in the flat blocked layout.
   const int kDim = 64, kCands = 4096, kReps = 64;
-  std::vector<std::vector<float>> legacy_vecs;
   la::FlatVectorBlock flat(kDim);
   for (int i = 0; i < kCands; ++i) {
     std::vector<float> v(static_cast<size_t>(kDim));
     for (auto& f : v) f = static_cast<float>(rng.Uniform(-1, 1));
     flat.Append(v);
-    legacy_vecs.push_back(std::move(v));
   }
   std::vector<float> q(static_cast<size_t>(kDim));
   for (auto& f : q) f = static_cast<float>(rng.Uniform(-1, 1));
   std::vector<float> flat_scores(kCands);
-  std::vector<double> legacy_scores(kCands);
 
   Timer timer;
   for (int r = 0; r < kReps; ++r) {
@@ -324,29 +319,15 @@ std::map<std::string, double> KernelThroughputMetrics() {
   }
   double flat_per_sec =
       static_cast<double>(kCands) * kReps / timer.ElapsedSeconds();
-  timer.Reset();
-  for (int r = 0; r < kReps; ++r) {
-    for (int i = 0; i < kCands; ++i) {
-      legacy_scores[static_cast<size_t>(i)] = CosineSimilarity(
-          q.data(), legacy_vecs[static_cast<size_t>(i)].data(), kDim);
-    }
-    sink += static_cast<float>(legacy_scores[static_cast<size_t>(r)]);
-  }
-  double legacy_per_sec =
-      static_cast<double>(kCands) * kReps / timer.ElapsedSeconds();
   metrics["score_candidates_per_sec_flat"] = flat_per_sec;
-  metrics["score_candidates_per_sec_legacy"] = legacy_per_sec;
-  metrics["score_candidates_flat_speedup"] = flat_per_sec / legacy_per_sec;
 
   std::printf(
       "[bench] kernels (%s tier, sink %.3f): dot64 %.1fns (x%.1f vs "
-      "scalar), gemv64 %.0fns (x%.1f), scoring %.1fM/s flat vs %.1fM/s "
-      "legacy (x%.1f)\n",
+      "scalar), gemv64 %.0fns (x%.1f), scoring %.1fM/s flat\n",
       la::simd::SimdLevelName(native), static_cast<double>(sink),
       metrics["dot_d64_ns_per_op"], metrics["simd_dot_speedup_d64"],
       metrics["gemv_d64_ns_per_op"], metrics["simd_gemv_speedup_d64"],
-      flat_per_sec / 1e6, legacy_per_sec / 1e6,
-      metrics["score_candidates_flat_speedup"]);
+      flat_per_sec / 1e6);
   return metrics;
 }
 

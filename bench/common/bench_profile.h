@@ -76,12 +76,8 @@ std::map<std::string, double> ProfilerOverheadMetrics();
 //   score_block_d<D>_ns_per_op  one 8-candidate cosine block sweep
 //   simd_dot_speedup_d<D>       scalar-tier ns / native-tier ns
 //   simd_gemv_speedup_d<D>      scalar-tier ns / native-tier ns
-//   score_candidates_per_sec_flat    candidates/sec, flat blocked layout
-//   score_candidates_per_sec_legacy  candidates/sec, the per-candidate
-//                                    std::vector + double-cosine path the
-//                                    flat layout replaced
-//   score_candidates_flat_speedup    flat / legacy
-//   simd_level                       active tier (0 scalar, 1 sse2, 2 avx2)
+//   score_candidates_per_sec_flat  candidates/sec, flat blocked layout
+//   simd_level                     active tier (0 scalar, 1 sse2, 2 avx2)
 // ns_per_op metrics are lower-is-better; the per_sec and speedup metrics
 // are higher-is-better — both named so bench_diff gates the right way.
 std::map<std::string, double> KernelThroughputMetrics();

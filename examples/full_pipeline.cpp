@@ -2,13 +2,14 @@
 // paper describes:
 //
 //   1. train the representation model on 4 weeks of history
-//   2. precompute user/event vectors into the serving KV cache (TAO-style)
+//   2. precompute user/event vectors into the id-indexed table serving
+//      reads (the paper's TAO store)
 //   3. train the GBDT combiner on week 5 with baseline + rep features
 //   4. serve week-6 recommendations: batched-cosine retrieval over the
-//      cached vectors narrows the candidates, then the combiner ranks the
-//      retrieved set with CACHED vectors (no neural network at serve time)
+//      stored vectors narrows the candidates, then the combiner ranks the
+//      retrieved set with STORED vectors (no neural network at serve time)
 //
-// Prints a per-user top-k recommendation list plus serving-cache stats.
+// Prints a per-user top-k recommendation list plus the table's size.
 //
 // Build & run:  ./build/examples/full_pipeline
 
@@ -98,9 +99,7 @@ int main() {
   std::printf("\nscored %d candidate pairs in %.1fms (%.2fms/pair) with "
               "cached vectors\n",
               scored_pairs, ms, ms / std::max(1, scored_pairs));
-  auto stats = pipeline.cache_stats();
-  std::printf("vector cache: %llu entries, hit rate %.2f\n",
-              static_cast<unsigned long long>(stats.entries),
-              stats.HitRate());
+  std::printf("representation table: %zu user + %zu event vectors\n",
+              pipeline.user_reps().size(), pipeline.event_reps().size());
   return 0;
 }

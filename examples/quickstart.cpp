@@ -41,11 +41,10 @@ int main() {
               stats.epochs_run,
               stats.train_loss.empty() ? 0.0 : stats.train_loss.back());
 
-  // 3. Precompute & cache all user/event vectors (the serving path).
+  // 3. Precompute and store every user/event vector (the serving path).
   pipeline.ComputeRepVectors();
-  auto cache_stats = pipeline.cache_stats();
-  std::printf("serving cache: %llu vectors stored\n",
-              static_cast<unsigned long long>(cache_stats.entries));
+  std::printf("representation table: %zu user + %zu event vectors\n",
+              pipeline.user_reps().size(), pipeline.event_reps().size());
 
   // 4. Stage 2: train the combiner with baseline + representation
   //    features and evaluate on the held-out final week.

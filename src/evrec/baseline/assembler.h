@@ -5,8 +5,8 @@
 //   similarity score s(u,e) | optional extension features (e.g. LDA
 //   topic-similarity for the ablation bench)
 //
-// Representation vectors are supplied precomputed (the serving path caches
-// them; see store/), so assembly never runs the neural network.
+// Representation vectors are supplied precomputed (the serving path stores
+// them by id; see store/), so assembly never runs the neural network.
 
 #ifndef EVREC_BASELINE_ASSEMBLER_H_
 #define EVREC_BASELINE_ASSEMBLER_H_

@@ -26,8 +26,7 @@ uint64_t Fnv1a(const std::string& s) {
 }  // namespace
 
 TwoStagePipeline::TwoStagePipeline(const PipelineConfig& config)
-    : config_(config), cache_(/*num_shards=*/16,
-                              /*capacity_per_shard=*/1u << 16) {}
+    : config_(config) {}
 
 ThreadPool* TwoStagePipeline::pool() {
   if (pool_ == nullptr) {
@@ -292,59 +291,43 @@ void TwoStagePipeline::ComputeRepVectors() {
   EVREC_CHECK(trained_) << "call TrainRepresentation() first";
   EVREC_SPAN("pipeline.rep_precompute");
   Timer timer;
-  // Each slot is written by exactly one shard and each vector is a pure
-  // function of the frozen model, so the parallel fill is deterministic;
-  // the cache itself is sharded + stampede-guarded, hence thread-safe.
-  user_reps_.resize(data_.world.users.size());
+  // Both kinds are sized first, so each shard writes exactly one existing
+  // slot and the table never reallocates mid-fill; each vector is a pure
+  // function of the frozen model, so the fill is deterministic.
+  const int num_users = static_cast<int>(data_.world.users.size());
+  const int num_events = static_cast<int>(data_.events.size());
+  reps_.Resize(store::EntityKind::kUser, static_cast<size_t>(num_users));
+  reps_.Resize(store::EntityKind::kEvent, static_cast<size_t>(num_events));
   // Each fill is span-wrapped so its forward-pass allocations are charged
   // to the rep_vector frame on whichever thread runs it — profiler
   // attribution stays byte-identical across --threads values.
-  pool()->ParallelFor(
-      static_cast<int>(data_.world.users.size()), [&](int u) {
-        obs::ScopedSpan vector_span("pipeline.rep_vector");
-        user_reps_[static_cast<size_t>(u)] = cache_.GetOrCompute(
-            store::EntityKind::kUser, u, [&]() {
-              return model_->UserVector(
-                  rep_data_.user_inputs[static_cast<size_t>(u)]);
-            });
-      });
-  event_reps_.resize(data_.events.size());
-  pool()->ParallelFor(static_cast<int>(data_.events.size()), [&](int e) {
+  pool()->ParallelFor(num_users, [&](int u) {
     obs::ScopedSpan vector_span("pipeline.rep_vector");
-    event_reps_[static_cast<size_t>(e)] = cache_.GetOrCompute(
-        store::EntityKind::kEvent, e, [&]() {
-          return model_->EventVector(
-              rep_data_.event_inputs[static_cast<size_t>(e)]);
-        });
+    reps_.Put(
+        store::EntityKind::kUser, u,
+        model_->UserVector(rep_data_.user_inputs[static_cast<size_t>(u)]));
   });
-  // Materialize the blocked SoA copies for the batched scoring kernels.
-  // Sequential: it's a strided memcpy, cheap next to the model forward
-  // passes above.
-  user_rep_block_.Reset(config_.rep.rep_dim);
-  user_rep_block_.Resize(static_cast<int>(user_reps_.size()));
-  for (size_t u = 0; u < user_reps_.size(); ++u) {
-    user_rep_block_.Set(static_cast<int>(u), user_reps_[u].data());
-  }
-  event_rep_block_.Reset(config_.rep.rep_dim);
-  event_rep_block_.Resize(static_cast<int>(event_reps_.size()));
-  for (size_t e = 0; e < event_reps_.size(); ++e) {
-    event_rep_block_.Set(static_cast<int>(e), event_reps_[e].data());
-  }
-  EVREC_LOG(INFO) << "precomputed " << user_reps_.size() << " user and "
-                  << event_reps_.size() << " event vectors in "
+  pool()->ParallelFor(num_events, [&](int e) {
+    obs::ScopedSpan vector_span("pipeline.rep_vector");
+    reps_.Put(
+        store::EntityKind::kEvent, e,
+        model_->EventVector(rep_data_.event_inputs[static_cast<size_t>(e)]));
+  });
+  EVREC_LOG(INFO) << "precomputed " << num_users << " user and "
+                  << num_events << " event vectors in "
                   << timer.ElapsedSeconds() << "s";
 }
 
 std::vector<serve::ScoredCandidate> TwoStagePipeline::RetrieveTopEvents(
     int user_id, const std::vector<int>& candidate_event_ids, int k) {
-  EVREC_CHECK(!user_reps_.empty())
-      << "call ComputeRepVectors() before RetrieveTopEvents()";
-  EVREC_CHECK_GE(user_id, 0);
-  EVREC_CHECK_LT(user_id, static_cast<int>(user_reps_.size()));
-  serve::RepCacheVectorStore store(&cache_);
+  const std::vector<float>* query =
+      reps_.Find(store::EntityKind::kUser, user_id);
+  EVREC_CHECK(query != nullptr)
+      << "no vector for user " << user_id
+      << "; call ComputeRepVectors() before RetrieveTopEvents()";
+  serve::RepTableVectorStore table_store(&reps_);
   return serve::TopK(
-      serve::ScoreCandidates(&store, store::EntityKind::kEvent,
-                             user_reps_[static_cast<size_t>(user_id)],
+      serve::ScoreCandidates(&table_store, store::EntityKind::kEvent, *query,
                              candidate_event_ids, pool()),
       k);
 }
@@ -354,12 +337,12 @@ EvalResult TwoStagePipeline::EvaluateFeatureConfig(
     gbdt::GbdtModel* trained_combiner) {
   EVREC_CHECK(prepared_);
   if (features.rep_vectors || features.rep_score) {
-    EVREC_CHECK(!user_reps_.empty())
+    EVREC_CHECK(!user_reps().empty())
         << "rep features requested before ComputeRepVectors()";
   }
   baseline::FeatureAssembler assembler(
-      *index_, user_reps_.empty() ? nullptr : &user_reps_,
-      event_reps_.empty() ? nullptr : &event_reps_);
+      *index_, user_reps().empty() ? nullptr : &user_reps(),
+      event_reps().empty() ? nullptr : &event_reps());
 
   gbdt::DataMatrix train_x;
   std::vector<float> train_y;

@@ -3,8 +3,8 @@
 //   stage 0  simnet        generate the 6-week world and impression log
 //   stage 1  model         train the joint representation model on the
 //                          first 4 weeks (optionally Siamese-initialized),
-//                          then precompute every user/event vector through
-//                          the serving cache (store/)
+//                          then precompute every user/event vector into
+//                          the id-indexed table serving reads (store/)
 //   stage 2  baseline+gbdt assemble combiner features for any of the
 //                          paper's feature-set configurations, train the
 //                          200x12 GBDT on week 5, evaluate on week 6
@@ -23,7 +23,6 @@
 #include "evrec/baseline/assembler.h"
 #include "evrec/eval/metrics.h"
 #include "evrec/gbdt/gbdt.h"
-#include "evrec/la/flat_block.h"
 #include "evrec/model/joint_model.h"
 #include "evrec/model/siamese.h"
 #include "evrec/model/trainer.h"
@@ -31,7 +30,7 @@
 #include "evrec/obs/profile.h"
 #include "evrec/pipeline/encoders.h"
 #include "evrec/serve/vector_store.h"
-#include "evrec/store/rep_cache.h"
+#include "evrec/store/rep_table.h"
 
 namespace evrec {
 namespace pipeline {
@@ -93,7 +92,7 @@ class TwoStagePipeline {
   // model with the same fingerprint exists. Requires Prepare().
   model::TrainStats TrainRepresentation();
 
-  // Precomputes all user/event vectors through the serving cache.
+  // Precomputes every user/event vector into the representation table.
   // Requires TrainRepresentation().
   void ComputeRepVectors();
 
@@ -110,33 +109,24 @@ class TwoStagePipeline {
   const model::JointModel& rep_model() const { return *model_; }
   const model::RepDataset& rep_data() const { return rep_data_; }
   const baseline::FeatureIndex& feature_index() const { return *index_; }
+  // The representation table's rows, indexed by user/event id: the one
+  // copy of every vector, which offline assembly and serving both read.
   const std::vector<std::vector<float>>& user_reps() const {
-    return user_reps_;
+    return reps_.rows(store::EntityKind::kUser);
   }
   const std::vector<std::vector<float>>& event_reps() const {
-    return event_reps_;
-  }
-  // The same vectors materialized into the 64-byte-aligned blocked SoA
-  // layout the batched scoring kernels want (la/flat_block.h): slot i is
-  // user/event i. Filled by ComputeRepVectors alongside the row vectors;
-  // feed these to ann::IvfIndex::Build or score them directly.
-  const la::FlatVectorBlock& user_rep_block() const {
-    return user_rep_block_;
-  }
-  const la::FlatVectorBlock& event_rep_block() const {
-    return event_rep_block_;
+    return reps_.rows(store::EntityKind::kEvent);
   }
 
   // Stage-1 retrieval, the serving path of the paper's §4: scores the
-  // user's cached representation vector against the candidate events'
-  // cached vectors (batched cosine kernel over the shared worker pool) and
+  // user's stored representation vector against the candidate events'
+  // stored vectors (batched cosine kernel over the shared worker pool) and
   // returns the top k by heap partial selection. Requires
   // ComputeRepVectors().
   std::vector<serve::ScoredCandidate> RetrieveTopEvents(
       int user_id, const std::vector<int>& candidate_event_ids, int k);
-  store::CacheStats cache_stats() const { return cache_.Stats(); }
-  // Serving-layer access to the vector cache (see pipeline/serving.h).
-  store::RepVectorCache& mutable_rep_cache() { return cache_; }
+  // Serving-layer access to the table (see pipeline/serving.h).
+  store::RepTable& mutable_rep_table() { return reps_; }
 
   // Deterministic fingerprint of everything stage 1 depends on.
   uint64_t RepModelFingerprint() const;
@@ -165,11 +155,7 @@ class TwoStagePipeline {
   model::RepDataset rep_data_;
   std::unique_ptr<model::JointModel> model_;
   std::unique_ptr<baseline::FeatureIndex> index_;
-  store::RepVectorCache cache_;
-  std::vector<std::vector<float>> user_reps_;
-  std::vector<std::vector<float>> event_reps_;
-  la::FlatVectorBlock user_rep_block_;
-  la::FlatVectorBlock event_rep_block_;
+  store::RepTable reps_;
   bool prepared_ = false;
   bool trained_ = false;
 };

@@ -8,7 +8,7 @@ namespace evrec {
 namespace pipeline {
 
 serve::RecommendationService::Backends ServingBundle::MakeBackends(
-    serve::Clock* clock, serve::VectorStore* store_override) const {
+    Clock* clock, serve::VectorStore* store_override) const {
   serve::RecommendationService::Backends backends;
   backends.store = store_override != nullptr ? store_override : store.get();
   backends.recompute = recompute;
@@ -40,8 +40,8 @@ ServingBundle BuildServingBundle(
       pipeline.feature_index(),
       pipeline.user_reps().empty() ? nullptr : &pipeline.user_reps(),
       pipeline.event_reps().empty() ? nullptr : &pipeline.event_reps());
-  bundle.store = std::make_unique<serve::RepCacheVectorStore>(
-      &pipeline.mutable_rep_cache());
+  bundle.store = std::make_unique<serve::RepTableVectorStore>(
+      &pipeline.mutable_rep_table());
 
   TwoStagePipeline* pipe = &pipeline;
   bundle.recompute = [pipe](store::EntityKind kind,

@@ -1,6 +1,6 @@
 // Serving-layer construction from a trained TwoStagePipeline: trains the
 // primary (full-feature) and fallback (baseline-only) GBDT combiners,
-// wraps the pipeline's representation cache as a serve::VectorStore, and
+// wraps the pipeline's representation table as a serve::VectorStore, and
 // wires the tier-2 recompute and tier-4 prior callbacks.
 
 #ifndef EVREC_PIPELINE_SERVING_H_
@@ -30,8 +30,7 @@ struct ServingBundle {
   // Backends pointing into this bundle. `store_override` substitutes a
   // different store (e.g. a FaultyVectorStore decorating `store.get()`).
   serve::RecommendationService::Backends MakeBackends(
-      serve::Clock* clock, serve::VectorStore* store_override = nullptr)
-      const;
+      Clock* clock, serve::VectorStore* store_override = nullptr) const;
 };
 
 // Requires Prepare(), TrainRepresentation(), and ComputeRepVectors() to

@@ -6,15 +6,15 @@
 //   half-open a limited probe is let through; success closes the breaker,
 //             failure re-opens it (and restarts the cool-down)
 //
-// Time is read through the injectable serve::Clock, so tests drive the
-// cool-down deterministically.
+// Time is read through the injectable Clock (util/clock.h), so tests
+// drive the cool-down deterministically.
 
 #ifndef EVREC_SERVE_CIRCUIT_BREAKER_H_
 #define EVREC_SERVE_CIRCUIT_BREAKER_H_
 
 #include <cstdint>
 
-#include "evrec/serve/clock.h"
+#include "evrec/util/clock.h"
 
 namespace evrec {
 namespace serve {

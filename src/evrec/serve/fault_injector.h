@@ -11,8 +11,8 @@
 #include <functional>
 #include <vector>
 
-#include "evrec/serve/clock.h"
 #include "evrec/serve/vector_store.h"
+#include "evrec/util/clock.h"
 #include "evrec/util/rng.h"
 #include "evrec/util/status.h"
 

@@ -1,6 +1,7 @@
 #include "evrec/serve/service.h"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 
 #include "evrec/obs/trace.h"
@@ -26,20 +27,9 @@ RecommendationService::RecommendationService(const Backends& backends,
                                  ? backends_.metrics
                                  : obs::MetricRegistry::Global();
   backends_.metrics = reg;
-  metrics_.requests = reg->GetCounter("serve.requests");
-  metrics_.candidates = reg->GetCounter("serve.candidates");
-  metrics_.store_attempts = reg->GetCounter("serve.store.attempts");
-  metrics_.store_retries = reg->GetCounter("serve.store.retries");
-  metrics_.store_transient_errors =
-      reg->GetCounter("serve.store.transient_errors");
-  metrics_.store_corruptions = reg->GetCounter("serve.store.corruptions");
-  metrics_.store_misses = reg->GetCounter("serve.store.misses");
-  metrics_.recompute_attempts = reg->GetCounter("serve.recompute.attempts");
-  metrics_.recompute_failures = reg->GetCounter("serve.recompute.failures");
-  metrics_.breaker_rejections = reg->GetCounter("serve.breaker.rejections");
-  metrics_.breaker_transitions = reg->GetCounter("serve.breaker.transitions");
-  metrics_.deadline_degradations =
-      reg->GetCounter("serve.deadline_degradations");
+  for (size_t i = 0; i < std::size(kServeCounters); ++i) {
+    metrics_.counters[i] = reg->GetCounter(kServeCounters[i].name);
+  }
   metrics_.request_micros = reg->GetHistogram("serve.request.micros");
   for (int t = 0; t < 4; ++t) {
     metrics_.tier_served[t] =
@@ -312,18 +302,9 @@ RankResponse RecommendationService::Rank(int user,
 
   // Mirror this request's deltas into the registry so the exported totals
   // track lifetime_stats() exactly (serve_test pins them bit-for-bit).
-  metrics_.requests->Increment(st.requests);
-  metrics_.candidates->Increment(st.candidates);
-  metrics_.store_attempts->Increment(st.store_attempts);
-  metrics_.store_retries->Increment(st.store_retries);
-  metrics_.store_transient_errors->Increment(st.store_transient_errors);
-  metrics_.store_corruptions->Increment(st.store_corruptions);
-  metrics_.store_misses->Increment(st.store_misses);
-  metrics_.recompute_attempts->Increment(st.recompute_attempts);
-  metrics_.recompute_failures->Increment(st.recompute_failures);
-  metrics_.breaker_rejections->Increment(st.breaker_rejections);
-  metrics_.breaker_transitions->Increment(st.breaker_transitions);
-  metrics_.deadline_degradations->Increment(st.deadline_degradations);
+  for (size_t i = 0; i < std::size(kServeCounters); ++i) {
+    metrics_.counters[i]->Increment(st.*kServeCounters[i].field);
+  }
   for (int t = 0; t < 4; ++t) {
     metrics_.tier_served[t]->Increment(st.tier_served[t]);
   }

@@ -14,6 +14,7 @@
 #define EVREC_SERVE_SERVICE_H_
 
 #include <functional>
+#include <iterator>
 #include <vector>
 
 #include "evrec/baseline/assembler.h"
@@ -24,11 +25,11 @@
 #include "evrec/obs/profile.h"
 #include "evrec/obs/slo.h"
 #include "evrec/serve/circuit_breaker.h"
-#include "evrec/serve/clock.h"
 #include "evrec/serve/fault_injector.h"
 #include "evrec/serve/retry.h"
 #include "evrec/serve/stats.h"
 #include "evrec/serve/vector_store.h"
+#include "evrec/util/clock.h"
 
 namespace evrec {
 namespace serve {
@@ -132,23 +133,13 @@ class RecommendationService {
   // Registry metrics mirroring ServeStats, resolved once at construction
   // so the hot path touches only atomics. The ServeStats struct remains
   // the per-request return channel; these carry the same totals for
-  // export (the serve_test pins them equal bit-for-bit).
+  // export (the serve_test pins them equal bit-for-bit). `counters[i]`
+  // mirrors kServeCounters[i].
   struct RegistryMetrics {
-    obs::Counter* requests = nullptr;
-    obs::Counter* candidates = nullptr;
-    obs::Counter* store_attempts = nullptr;
-    obs::Counter* store_retries = nullptr;
-    obs::Counter* store_transient_errors = nullptr;
-    obs::Counter* store_corruptions = nullptr;
-    obs::Counter* store_misses = nullptr;
-    obs::Counter* recompute_attempts = nullptr;
-    obs::Counter* recompute_failures = nullptr;
-    obs::Counter* breaker_rejections = nullptr;
-    obs::Counter* breaker_transitions = nullptr;
-    obs::Counter* deadline_degradations = nullptr;
-    obs::Counter* tier_served[4] = {nullptr, nullptr, nullptr, nullptr};
+    obs::Counter* counters[std::size(kServeCounters)] = {};
+    obs::Counter* tier_served[4] = {};
     obs::Histogram* request_micros = nullptr;
-    obs::Histogram* tier_micros[4] = {nullptr, nullptr, nullptr, nullptr};
+    obs::Histogram* tier_micros[4] = {};
   };
 
   // Rolling-window mirrors of the hot serve metrics, resolved once when a

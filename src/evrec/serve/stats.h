@@ -45,46 +45,51 @@ struct ServeStats {
     return tier_served[0] + tier_served[1] + tier_served[2] + tier_served[3];
   }
 
-  void Merge(const ServeStats& other) {
-    requests += other.requests;
-    candidates += other.candidates;
-    store_attempts += other.store_attempts;
-    store_retries += other.store_retries;
-    store_transient_errors += other.store_transient_errors;
-    store_corruptions += other.store_corruptions;
-    store_misses += other.store_misses;
-    recompute_attempts += other.recompute_attempts;
-    recompute_failures += other.recompute_failures;
-    breaker_rejections += other.breaker_rejections;
-    breaker_transitions += other.breaker_transitions;
-    deadline_degradations += other.deadline_degradations;
-    for (int i = 0; i < 4; ++i) tier_served[i] += other.tier_served[i];
-  }
-
-  std::string ToString() const {
-    return StrFormat(
-        "requests=%llu candidates=%llu tiers=[%llu,%llu,%llu,%llu] "
-        "store{attempts=%llu retries=%llu transient=%llu corrupt=%llu "
-        "miss=%llu} recompute{attempts=%llu failures=%llu rejected=%llu} "
-        "breaker_transitions=%llu deadline_degradations=%llu",
-        static_cast<unsigned long long>(requests),
-        static_cast<unsigned long long>(candidates),
-        static_cast<unsigned long long>(tier_served[0]),
-        static_cast<unsigned long long>(tier_served[1]),
-        static_cast<unsigned long long>(tier_served[2]),
-        static_cast<unsigned long long>(tier_served[3]),
-        static_cast<unsigned long long>(store_attempts),
-        static_cast<unsigned long long>(store_retries),
-        static_cast<unsigned long long>(store_transient_errors),
-        static_cast<unsigned long long>(store_corruptions),
-        static_cast<unsigned long long>(store_misses),
-        static_cast<unsigned long long>(recompute_attempts),
-        static_cast<unsigned long long>(recompute_failures),
-        static_cast<unsigned long long>(breaker_rejections),
-        static_cast<unsigned long long>(breaker_transitions),
-        static_cast<unsigned long long>(deadline_degradations));
-  }
+  void Merge(const ServeStats& other);
+  std::string ToString() const;
 };
+
+// Every scalar counter with its registry name. Merge, ToString and the
+// service's registry mirror all walk this one table.
+struct ServeCounter {
+  const char* name;
+  uint64_t ServeStats::*field;
+};
+
+inline constexpr ServeCounter kServeCounters[] = {
+    {"serve.requests", &ServeStats::requests},
+    {"serve.candidates", &ServeStats::candidates},
+    {"serve.store.attempts", &ServeStats::store_attempts},
+    {"serve.store.retries", &ServeStats::store_retries},
+    {"serve.store.transient_errors", &ServeStats::store_transient_errors},
+    {"serve.store.corruptions", &ServeStats::store_corruptions},
+    {"serve.store.misses", &ServeStats::store_misses},
+    {"serve.recompute.attempts", &ServeStats::recompute_attempts},
+    {"serve.recompute.failures", &ServeStats::recompute_failures},
+    {"serve.breaker.rejections", &ServeStats::breaker_rejections},
+    {"serve.breaker.transitions", &ServeStats::breaker_transitions},
+    {"serve.deadline_degradations", &ServeStats::deadline_degradations},
+};
+
+inline void ServeStats::Merge(const ServeStats& other) {
+  for (const ServeCounter& c : kServeCounters) {
+    this->*c.field += other.*c.field;
+  }
+  for (int i = 0; i < 4; ++i) tier_served[i] += other.tier_served[i];
+}
+
+inline std::string ServeStats::ToString() const {
+  std::string out;
+  for (const ServeCounter& c : kServeCounters) {
+    out += StrFormat("%s=%llu ", c.name,
+                     static_cast<unsigned long long>(this->*c.field));
+  }
+  return out + StrFormat("tiers=[%llu,%llu,%llu,%llu]",
+                         static_cast<unsigned long long>(tier_served[0]),
+                         static_cast<unsigned long long>(tier_served[1]),
+                         static_cast<unsigned long long>(tier_served[2]),
+                         static_cast<unsigned long long>(tier_served[3]));
+}
 
 }  // namespace serve
 }  // namespace evrec

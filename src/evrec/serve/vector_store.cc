@@ -102,18 +102,18 @@ std::vector<ScoredCandidate> TopK(std::vector<ScoredCandidate>&& scored,
   return result;
 }
 
-StatusOr<std::vector<float>> RepCacheVectorStore::Get(store::EntityKind kind,
+StatusOr<std::vector<float>> RepTableVectorStore::Get(store::EntityKind kind,
                                                       int id) {
-  std::vector<float> out;
-  if (cache_->TryGet(kind, id, &out)) return out;
+  const std::vector<float>* vector = table_->Find(kind, id);
+  if (vector != nullptr) return *vector;
   return Status::NotFound(StrFormat(
-      "no cached vector for %s %d",
+      "no stored vector for %s %d",
       kind == store::EntityKind::kUser ? "user" : "event", id));
 }
 
-void RepCacheVectorStore::Put(store::EntityKind kind, int id,
+void RepTableVectorStore::Put(store::EntityKind kind, int id,
                               std::vector<float> vector) {
-  cache_->Precompute(kind, id, std::move(vector));
+  table_->Put(kind, id, std::move(vector));
 }
 
 }  // namespace serve

@@ -1,15 +1,15 @@
 // VectorStore: the serving layer's fault-prone view of the distributed
-// representation store (TAO in the paper, store::RepVectorCache here).
-// Unlike the raw cache API, Get returns a Status so lookups can fail the
-// way a remote store fails: miss (NotFound), bad stored bytes
-// (Corruption), or transient outage (Unavailable, injected by decorators).
+// representation store (TAO in the paper, store::RepTable here). Unlike
+// the table's API, Get returns a Status so lookups can fail the way a
+// remote store fails: miss (NotFound), bad stored bytes (Corruption), or
+// transient outage (Unavailable, injected by decorators).
 
 #ifndef EVREC_SERVE_VECTOR_STORE_H_
 #define EVREC_SERVE_VECTOR_STORE_H_
 
 #include <vector>
 
-#include "evrec/store/rep_cache.h"
+#include "evrec/store/rep_table.h"
 #include "evrec/util/status.h"
 #include "evrec/util/thread_pool.h"
 
@@ -63,18 +63,20 @@ std::vector<ScoredCandidate> TopK(std::vector<ScoredCandidate>&& scored,
 std::vector<ScoredCandidate> TopKSpan(const ScoredCandidate* scored,
                                       size_t n, int k);
 
-// Adapter over the in-process RepVectorCache; a miss surfaces as NotFound.
-class RepCacheVectorStore : public VectorStore {
+// Adapter over the in-process RepTable: a missing slot surfaces as
+// NotFound, and Put (the tier-2 recompute write-back) stores into the
+// table, growing it when needed. Like the decorators, not safe for
+// concurrent callers: a growing Put reallocates the table.
+class RepTableVectorStore : public VectorStore {
  public:
-  explicit RepCacheVectorStore(store::RepVectorCache* cache)
-      : cache_(cache) {}
+  explicit RepTableVectorStore(store::RepTable* table) : table_(table) {}
 
   StatusOr<std::vector<float>> Get(store::EntityKind kind, int id) override;
   void Put(store::EntityKind kind, int id,
            std::vector<float> vector) override;
 
  private:
-  store::RepVectorCache* cache_;
+  store::RepTable* table_;
 };
 
 }  // namespace serve

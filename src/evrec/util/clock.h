@@ -4,9 +4,7 @@
 // this interface so tests and fault-replay runs can drive a simulated
 // clock deterministically instead of sleeping for real.
 //
-// Lives in util (not serve) because obs/ and serve/ both depend on it;
-// serve/clock.h re-exports these names into evrec::serve for existing
-// callers.
+// Lives in util (not serve) because obs/ and serve/ both depend on it.
 
 #ifndef EVREC_UTIL_CLOCK_H_
 #define EVREC_UTIL_CLOCK_H_

@@ -1,7 +1,7 @@
 // Tests for the extension modules: pairwise ranking trainer (§3.2.1's
 // alternative loss), weighted multi-feedback pairs (the paper's future-work
-// direction), logistic-regression combiner (§5.2 remark), IVF ANN index,
-// and skip-gram embedding pre-training (§3.2.1's unsupervised init).
+// direction), logistic-regression combiner (§5.2 remark), and the IVF ANN
+// index.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +12,7 @@
 #include "evrec/gbdt/gbdt.h"
 #include "evrec/gbdt/logistic_regression.h"
 #include "evrec/model/ranking_trainer.h"
-#include "evrec/nn/sgns.h"
 #include "evrec/util/logging.h"
-#include "evrec/util/math_util.h"
 
 namespace evrec {
 namespace {
@@ -305,53 +303,6 @@ TEST(IvfIndexTest, ExcludeFiltersSelf) {
   index.Build(vectors, ann::IvfConfig{});
   auto results = index.Search(vectors[5], 5, 16, /*exclude=*/5);
   for (const auto& r : results) EXPECT_NE(r.id, 5);
-}
-
-// ---------- SGNS ----------
-
-TEST(SgnsTest, CoOccurringTokensBecomeSimilar) {
-  // Two disjoint "topics" of tokens that only co-occur within topic.
-  Rng rng(65);
-  std::vector<std::vector<int>> corpus;
-  for (int d = 0; d < 300; ++d) {
-    int topic = d % 2;
-    std::vector<int> doc;
-    for (int i = 0; i < 12; ++i) doc.push_back(topic * 8 + rng.UniformInt(0, 7));
-    corpus.push_back(std::move(doc));
-  }
-  nn::EmbeddingTable table(16, 12);
-  Rng init(66);
-  table.RandomInit(init, 0.1f);
-  nn::SgnsConfig cfg;
-  cfg.epochs = 3;
-  Rng train(67);
-  nn::SgnsStats stats = nn::PretrainEmbeddings(&table, corpus, cfg, train);
-  EXPECT_GT(stats.pairs_trained, 0);
-  EXPECT_LT(stats.train_loss.back(), stats.train_loss.front());
-
-  double same = 0.0, cross = 0.0;
-  int ns = 0, nc = 0;
-  for (int a = 0; a < 16; ++a) {
-    for (int b = a + 1; b < 16; ++b) {
-      double c = CosineSimilarity(table.Vector(a), table.Vector(b), 12);
-      if ((a / 8) == (b / 8)) {
-        same += c;
-        ++ns;
-      } else {
-        cross += c;
-        ++nc;
-      }
-    }
-  }
-  EXPECT_GT(same / ns, cross / nc + 0.3);
-}
-
-TEST(SgnsTest, EmptyCorpusIsHarmless) {
-  nn::EmbeddingTable table(4, 4);
-  Rng rng(68);
-  nn::SgnsStats stats =
-      nn::PretrainEmbeddings(&table, {}, nn::SgnsConfig{}, rng);
-  EXPECT_EQ(stats.pairs_trained, 0);
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 #include "evrec/la/simd/kernels.h"
 #include "evrec/la/vec_ops.h"
 #include "evrec/serve/vector_store.h"
-#include "evrec/store/rep_cache.h"
+#include "evrec/store/rep_table.h"
 #include "evrec/util/rng.h"
 
 namespace evrec {
@@ -492,8 +492,8 @@ TEST(IvfExactAgreementTest, SearchExactMatchesScoreCandidates) {
   ASSERT_TRUE(index.built());
   ASSERT_EQ(num_vectors, index.size());
 
-  store::RepVectorCache cache(2, 1024);
-  serve::RepCacheVectorStore vstore(&cache);
+  store::RepTable table;
+  serve::RepTableVectorStore vstore(&table);
   std::vector<int> ids;
   for (int i = 0; i < num_vectors; ++i) {
     vstore.Put(store::EntityKind::kEvent, i, vectors[static_cast<size_t>(i)]);
@@ -539,8 +539,8 @@ TEST(IvfExactAgreementTest, ScoreCandidatesBitIdenticalAcrossTiers) {
   TierGuard guard;
   const int dim = 24;
   Rng rng(111);
-  store::RepVectorCache cache(2, 1024);
-  serve::RepCacheVectorStore vstore(&cache);
+  store::RepTable table;
+  serve::RepTableVectorStore vstore(&table);
   std::vector<int> ids;
   for (int i = 0; i < 21; ++i) {
     std::vector<float> v(dim);

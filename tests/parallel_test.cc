@@ -1,13 +1,16 @@
 // Tests for the data-parallel training engine: ThreadPool/ParallelFor
 // semantics, the trainer's thread-count determinism contract (bit-identical
 // parameters and losses for any worker count), the partial-batch step-size
-// regression, and parallel candidate scoring in the serving layer.
+// regression, the parallel representation precompute, and parallel
+// candidate scoring in the serving layer.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,8 +19,9 @@
 
 #include "evrec/model/joint_model.h"
 #include "evrec/model/trainer.h"
+#include "evrec/pipeline/pipeline.h"
 #include "evrec/serve/vector_store.h"
-#include "evrec/store/rep_cache.h"
+#include "evrec/store/rep_table.h"
 #include "evrec/util/binary_io.h"
 #include "evrec/util/logging.h"
 #include "evrec/util/rng.h"
@@ -289,11 +293,63 @@ TEST(TrainerPartialBatchTest, FinalBatchStepsAtLeftoverCount) {
   SetLogLevel(LogLevel::kInfo);
 }
 
+// ---------- representation precompute across thread counts ----------
+
+// A tiny world's pipeline with its representation table filled by
+// `threads` workers; everything else held fixed.
+std::unique_ptr<pipeline::TwoStagePipeline> PrecomputeWithThreads(
+    int threads) {
+  pipeline::PipelineConfig cfg;
+  cfg.simnet = simnet::TinySimnetConfig();
+  cfg.rep.embedding_dim = 8;
+  cfg.rep.module_out_dim = 8;
+  cfg.rep.hidden_dim = 16;
+  cfg.rep.rep_dim = 8;
+  cfg.rep.text_windows = {1, 3};
+  cfg.rep.max_epochs = 1;
+  cfg.rep.batch_size = 16;
+  cfg.rep.min_document_frequency = 2;
+  cfg.max_user_tokens = 64;
+  cfg.max_event_tokens = 64;
+  cfg.threads = threads;
+  auto p = std::make_unique<pipeline::TwoStagePipeline>(cfg);
+  p->Prepare();
+  p->TrainRepresentation();
+  p->ComputeRepVectors();
+  return p;
+}
+
+void ExpectSameBytes(const std::vector<std::vector<float>>& a,
+                     const std::vector<std::vector<float>>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_FALSE(a.empty());
+  for (size_t id = 0; id < a.size(); ++id) {
+    ASSERT_EQ(a[id].size(), b[id].size()) << "id " << id;
+    ASSERT_FALSE(a[id].empty()) << "id " << id;
+    EXPECT_EQ(std::memcmp(a[id].data(), b[id].data(),
+                          a[id].size() * sizeof(float)),
+              0)
+        << "id " << id;
+  }
+}
+
+// Every shard writes its own slot of the presized table; the fill must
+// come out byte-identical for any worker count (and, under TSan, race
+// free).
+TEST(RepPrecomputeTest, ThreadCountNeverChangesTheTable) {
+  SetLogLevel(LogLevel::kWarn);
+  std::unique_ptr<pipeline::TwoStagePipeline> one = PrecomputeWithThreads(1);
+  std::unique_ptr<pipeline::TwoStagePipeline> four = PrecomputeWithThreads(4);
+  ExpectSameBytes(one->user_reps(), four->user_reps());
+  ExpectSameBytes(one->event_reps(), four->event_reps());
+  SetLogLevel(LogLevel::kInfo);
+}
+
 // ---------- parallel candidate scoring ----------
 
 TEST(ScoreCandidatesTest, ParallelMatchesSequential) {
-  store::RepVectorCache cache(4, 64);
-  serve::RepCacheVectorStore vstore(&cache);
+  store::RepTable table;
+  serve::RepTableVectorStore vstore(&table);
   Rng rng(71);
   std::vector<int> ids;
   for (int i = 0; i < 33; ++i) {

@@ -1,15 +1,17 @@
 // End-to-end tests for evrec/pipeline: encoder construction, the two-stage
-// pipeline on a tiny world, representation caching (memory + disk), and
-// feature-config evaluation.
+// pipeline on a tiny world, the representation table and the model's disk
+// cache, and feature-config evaluation.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
 
 #include "evrec/pipeline/pipeline.h"
+#include "evrec/pipeline/serving.h"
 #include "evrec/util/binary_io.h"
 #include "evrec/util/logging.h"
 
@@ -108,11 +110,29 @@ TEST_F(PipelineTest, RepVectorsComputedForEveryEntity) {
     ASSERT_EQ(v.size(), 8u);
     for (float x : v) EXPECT_TRUE(std::isfinite(x));
   }
-  // Serving cache holds one entry per entity.
-  auto stats = pipeline_->cache_stats();
-  EXPECT_EQ(stats.entries,
-            static_cast<uint64_t>(pipeline_->dataset().num_users() +
-                                  pipeline_->dataset().num_events()));
+}
+
+TEST_F(PipelineTest, ServingStoreReturnsTheTableBits) {
+  // The serving bundle's store reads the pipeline's one table: every user
+  // and event vector comes back with exactly the bits offline assembly
+  // reads through user_reps()/event_reps().
+  ServingBundle bundle =
+      BuildServingBundle(*pipeline_, baseline::FeatureConfig{});
+  auto expect_same_bits = [&](store::EntityKind kind,
+                              const std::vector<std::vector<float>>& reps) {
+    for (size_t id = 0; id < reps.size(); ++id) {
+      StatusOr<std::vector<float>> got =
+          bundle.store->Get(kind, static_cast<int>(id));
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(got->size(), reps[id].size());
+      EXPECT_EQ(std::memcmp(got->data(), reps[id].data(),
+                            reps[id].size() * sizeof(float)),
+                0)
+          << "id " << id;
+    }
+  };
+  expect_same_bits(store::EntityKind::kUser, pipeline_->user_reps());
+  expect_same_bits(store::EntityKind::kEvent, pipeline_->event_reps());
 }
 
 TEST_F(PipelineTest, EvaluateProducesSaneMetrics) {

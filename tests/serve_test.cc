@@ -22,11 +22,11 @@
 #include "evrec/pipeline/pipeline.h"
 #include "evrec/pipeline/serving.h"
 #include "evrec/serve/circuit_breaker.h"
-#include "evrec/serve/clock.h"
 #include "evrec/serve/fault_injector.h"
 #include "evrec/serve/retry.h"
 #include "evrec/serve/service.h"
 #include "evrec/serve/vector_store.h"
+#include "evrec/util/clock.h"
 #include "evrec/util/logging.h"
 #include "evrec/util/string_util.h"
 
@@ -182,9 +182,9 @@ TEST(FaultInjectorTest, RatesApproximatelyRespected) {
 }
 
 TEST(FaultyVectorStoreTest, InjectsErrorsAndChargesLatency) {
-  store::RepVectorCache cache(2, 16);
-  cache.Precompute(store::EntityKind::kUser, 1, {1.0f});
-  RepCacheVectorStore inner(&cache);
+  store::RepTable table;
+  table.Put(store::EntityKind::kUser, 1, {1.0f});
+  RepTableVectorStore inner(&table);
   FakeClock clock;
   FaultConfig cfg;
   cfg.transient_error_rate = 1.0;
@@ -197,22 +197,31 @@ TEST(FaultyVectorStoreTest, InjectsErrorsAndChargesLatency) {
   EXPECT_EQ(clock.NowMicros(), 50);
 }
 
-TEST(RepCacheVectorStoreTest, MissIsNotFoundAndPutRoundTrips) {
-  store::RepVectorCache cache(2, 16);
-  RepCacheVectorStore vstore(&cache);
-  auto miss = vstore.Get(store::EntityKind::kEvent, 7);
-  EXPECT_FALSE(miss.ok());
-  EXPECT_EQ(miss.status().code(), StatusCode::kNotFound);
+TEST(RepTableVectorStoreTest, MissIsNotFoundAndPutRoundTrips) {
+  store::RepTable table;
+  RepTableVectorStore vstore(&table);
+  for (int id : {7, -1}) {
+    auto miss = vstore.Get(store::EntityKind::kEvent, id);
+    EXPECT_FALSE(miss.ok());
+    EXPECT_EQ(miss.status().code(), StatusCode::kNotFound) << id;
+  }
   vstore.Put(store::EntityKind::kEvent, 7, {3.0f, 4.0f});
   auto hit = vstore.Get(store::EntityKind::kEvent, 7);
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(*hit, (std::vector<float>{3.0f, 4.0f}));
+  // The write grew the table itself; the slots below it that were never
+  // written still miss.
+  EXPECT_EQ(table.rows(store::EntityKind::kEvent).size(), 8u);
+  EXPECT_EQ(vstore.Get(store::EntityKind::kEvent, 6).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(vstore.Get(store::EntityKind::kUser, 7).status().code(),
+            StatusCode::kNotFound);
 }
 
 // ---------- service-level stubs ----------
 
 // Scripted store: fails the first `failures` Gets with Unavailable, then
-// delegates to the wrapped cache.
+// delegates to the wrapped store.
 class FlakyVectorStore : public VectorStore {
  public:
   FlakyVectorStore(VectorStore* inner, int failures)
@@ -541,11 +550,10 @@ TEST_F(ServeEndToEndTest, BreakerOpensOnRecomputeFailuresThenRecovers) {
   // and drives the recompute path. (If the user vector itself failed, the
   // service would skip event fetches entirely and record only one
   // failure.)
-  store::RepVectorCache sparse_cache(2, 1024);
-  sparse_cache.Precompute(
-      store::EntityKind::kUser, eval[0].user,
-      pipeline_->user_reps()[static_cast<size_t>(eval[0].user)]);
-  RepCacheVectorStore empty_store(&sparse_cache);
+  store::RepTable sparse_table;
+  sparse_table.Put(store::EntityKind::kUser, eval[0].user,
+                   pipeline_->user_reps()[static_cast<size_t>(eval[0].user)]);
+  RepTableVectorStore empty_store(&sparse_table);
 
   ServiceConfig service_cfg;
   service_cfg.breaker.failure_threshold = 2;
@@ -589,8 +597,15 @@ TEST_F(ServeEndToEndTest, BreakerOpensOnRecomputeFailuresThenRecovers) {
   ASSERT_EQ(up.ranking.size(), candidates.size());
   EXPECT_EQ(service.breaker().state(), CircuitBreaker::State::kClosed);
   EXPECT_GT(up.stats.tier_served[1], 0u);
-  // Recomputed vectors were written back: nothing fell past tier 2.
+  // Recomputed vectors were written back: nothing fell past tier 2, and
+  // the sparse table now holds the pipeline's exact vectors.
   EXPECT_EQ(up.stats.tier_served[2] + up.stats.tier_served[3], 0u);
+  for (int event : candidates) {
+    const std::vector<float>* stored =
+        sparse_table.Find(store::EntityKind::kEvent, event);
+    ASSERT_NE(stored, nullptr) << "event " << event;
+    EXPECT_EQ(*stored, pipeline_->event_reps()[static_cast<size_t>(event)]);
+  }
 }
 
 TEST_F(ServeEndToEndTest, TailSamplerAlwaysKeepsDegradedRequests) {

@@ -1,193 +1,77 @@
-// Tests for evrec/store: sharded LRU KV cache and the representation
-// vector cache (compute-through semantics, invalidation, stats).
+// Tests for evrec/store: the id-indexed representation table (round trips
+// per kind, kinds kept apart, bounds-checked lookups, overwrite and
+// growth).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
 #include <vector>
 
-#include "evrec/store/kv_cache.h"
-#include "evrec/store/rep_cache.h"
+#include "evrec/store/rep_table.h"
 
 namespace evrec {
 namespace store {
 namespace {
 
-TEST(KvCacheTest, PutGetRoundTrip) {
-  ShardedKvCache cache(4, 8);
-  cache.Put(1, {1.0f, 2.0f});
-  std::vector<float> out;
-  ASSERT_TRUE(cache.Get(1, &out));
-  EXPECT_EQ(out, (std::vector<float>{1.0f, 2.0f}));
-  EXPECT_FALSE(cache.Get(2, &out));
+TEST(RepTableTest, PutFindRoundTripPerKind) {
+  RepTable table;
+  table.Put(EntityKind::kUser, 0, {1.0f, 2.0f});
+  table.Put(EntityKind::kEvent, 3, {3.0f, 4.0f, 5.0f});
+  const std::vector<float>* user = table.Find(EntityKind::kUser, 0);
+  const std::vector<float>* event = table.Find(EntityKind::kEvent, 3);
+  ASSERT_NE(user, nullptr);
+  ASSERT_NE(event, nullptr);
+  EXPECT_EQ(*user, (std::vector<float>{1.0f, 2.0f}));
+  EXPECT_EQ(*event, (std::vector<float>{3.0f, 4.0f, 5.0f}));
 }
 
-TEST(KvCacheTest, OverwriteReplacesValue) {
-  ShardedKvCache cache(1, 4);
-  cache.Put(5, {1.0f});
-  cache.Put(5, {2.0f});
-  std::vector<float> out;
-  ASSERT_TRUE(cache.Get(5, &out));
-  EXPECT_EQ(out, std::vector<float>{2.0f});
-  EXPECT_EQ(cache.Stats().entries, 1u);
+TEST(RepTableTest, KindsAreKeptApart) {
+  RepTable table;
+  table.Put(EntityKind::kUser, 5, {1.0f});
+  EXPECT_EQ(table.Find(EntityKind::kEvent, 5), nullptr);
+  table.Put(EntityKind::kEvent, 5, {2.0f});
+  EXPECT_EQ(*table.Find(EntityKind::kUser, 5), std::vector<float>{1.0f});
+  EXPECT_EQ(*table.Find(EntityKind::kEvent, 5), std::vector<float>{2.0f});
+  EXPECT_EQ(table.rows(EntityKind::kUser).size(), 6u);
+  EXPECT_EQ(table.rows(EntityKind::kEvent).size(), 6u);
 }
 
-TEST(KvCacheTest, LruEvictsLeastRecentlyUsed) {
-  ShardedKvCache cache(1, 2);  // single shard, capacity 2
-  cache.Put(1, {1.0f});
-  cache.Put(2, {2.0f});
-  // Touch 1 so 2 becomes LRU.
-  std::vector<float> out;
-  ASSERT_TRUE(cache.Get(1, &out));
-  cache.Put(3, {3.0f});  // evicts 2
-  EXPECT_TRUE(cache.Get(1, &out));
-  EXPECT_FALSE(cache.Get(2, &out));
-  EXPECT_TRUE(cache.Get(3, &out));
-  EXPECT_EQ(cache.Stats().evictions, 1u);
+TEST(RepTableTest, MissingNegativeAndPastTheEndIdsAreNotFound) {
+  RepTable table;
+  EXPECT_EQ(table.Find(EntityKind::kUser, 0), nullptr);  // empty table
+  table.Put(EntityKind::kUser, 2, {1.0f});
+  EXPECT_EQ(table.Find(EntityKind::kUser, 0), nullptr);  // empty slot
+  EXPECT_EQ(table.Find(EntityKind::kUser, 1), nullptr);
+  EXPECT_EQ(table.Find(EntityKind::kUser, -1), nullptr);
+  EXPECT_EQ(table.Find(EntityKind::kUser, 3), nullptr);
+  EXPECT_EQ(table.Find(EntityKind::kUser, 1 << 30), nullptr);
+  EXPECT_NE(table.Find(EntityKind::kUser, 2), nullptr);
 }
 
-TEST(KvCacheTest, InvalidateRemovesEntry) {
-  ShardedKvCache cache(2, 4);
-  cache.Put(7, {7.0f});
-  EXPECT_TRUE(cache.Invalidate(7));
-  EXPECT_FALSE(cache.Invalidate(7));
-  std::vector<float> out;
-  EXPECT_FALSE(cache.Get(7, &out));
-}
-
-TEST(KvCacheTest, ClearDropsEverything) {
-  ShardedKvCache cache(4, 4);
-  for (uint64_t k = 0; k < 10; ++k) cache.Put(k, {1.0f});
-  cache.Clear();
-  EXPECT_EQ(cache.Stats().entries, 0u);
-}
-
-TEST(KvCacheTest, StatsTrackHitsAndMisses) {
-  ShardedKvCache cache(2, 4);
-  cache.Put(1, {1.0f});
-  std::vector<float> out;
-  cache.Get(1, &out);
-  cache.Get(1, &out);
-  cache.Get(99, &out);
-  CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_NEAR(stats.HitRate(), 2.0 / 3.0, 1e-12);
-}
-
-TEST(KvCacheTest, ManyKeysAcrossShards) {
-  ShardedKvCache cache(8, 100);
-  for (uint64_t k = 0; k < 500; ++k) cache.Put(k, {static_cast<float>(k)});
-  // Capacity 8*100 = 800 >= 500: everything retained.
-  std::vector<float> out;
-  int found = 0;
-  for (uint64_t k = 0; k < 500; ++k) {
-    if (cache.Get(k, &out)) ++found;
-  }
-  EXPECT_EQ(found, 500);
-}
-
-TEST(RepCacheTest, EntityKeysAreDistinct) {
-  EXPECT_NE(EntityKey(EntityKind::kUser, 5),
-            EntityKey(EntityKind::kEvent, 5));
-  EXPECT_NE(EntityKey(EntityKind::kUser, 5),
-            EntityKey(EntityKind::kUser, 6));
-}
-
-TEST(RepCacheTest, GetOrComputeComputesOnce) {
-  RepVectorCache cache(2, 16);
-  int computations = 0;
-  auto compute = [&]() {
-    ++computations;
-    return std::vector<float>{1.0f, 2.0f};
-  };
-  auto v1 = cache.GetOrCompute(EntityKind::kUser, 1, compute);
-  auto v2 = cache.GetOrCompute(EntityKind::kUser, 1, compute);
-  EXPECT_EQ(computations, 1);
-  EXPECT_EQ(v1, v2);
-}
-
-TEST(RepCacheTest, InvalidateForcesRecompute) {
-  RepVectorCache cache(2, 16);
-  int computations = 0;
-  auto compute = [&]() {
-    ++computations;
-    return std::vector<float>{static_cast<float>(computations)};
-  };
-  cache.GetOrCompute(EntityKind::kEvent, 3, compute);
-  EXPECT_TRUE(cache.Invalidate(EntityKind::kEvent, 3));
-  auto v = cache.GetOrCompute(EntityKind::kEvent, 3, compute);
-  EXPECT_EQ(computations, 2);
-  EXPECT_FLOAT_EQ(v[0], 2.0f);
-}
-
-TEST(RepCacheTest, TryGetDoesNotCompute) {
-  RepVectorCache cache(2, 16);
-  std::vector<float> out;
-  EXPECT_FALSE(cache.TryGet(EntityKind::kUser, 4, &out));
-  cache.Precompute(EntityKind::kUser, 4, {1.0f, 2.0f});
-  ASSERT_TRUE(cache.TryGet(EntityKind::kUser, 4, &out));
-  EXPECT_EQ(out, (std::vector<float>{1.0f, 2.0f}));
-}
-
-TEST(RepCacheTest, StampedeGuardComputesOnceUnderContention) {
-  RepVectorCache cache(4, 64);
-  std::atomic<int> computations{0};
-  auto slow_compute = [&]() {
-    computations.fetch_add(1);
-    // Hold the in-flight window open long enough that every thread
-    // arrives while the first compute is still running.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    return std::vector<float>{1.0f, 2.0f, 3.0f};
-  };
-  const int kThreads = 8;
-  std::vector<std::thread> threads;
-  std::vector<std::vector<float>> results(kThreads);
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t]() {
-      results[static_cast<size_t>(t)] =
-          cache.GetOrCompute(EntityKind::kEvent, 42, slow_compute);
-    });
-  }
-  for (auto& th : threads) th.join();
-  // Exactly one thread ran the expensive compute; everyone else joined
-  // the in-flight latch and got the same vector.
-  EXPECT_EQ(computations.load(), 1);
-  for (const auto& r : results) {
-    EXPECT_EQ(r, (std::vector<float>{1.0f, 2.0f, 3.0f}));
+TEST(RepTableTest, ResizeAddsEmptySlots) {
+  RepTable table;
+  table.Resize(EntityKind::kEvent, 4);
+  EXPECT_EQ(table.rows(EntityKind::kEvent).size(), 4u);
+  EXPECT_TRUE(table.rows(EntityKind::kUser).empty());
+  for (int id = 0; id < 4; ++id) {
+    EXPECT_EQ(table.Find(EntityKind::kEvent, id), nullptr) << id;
   }
 }
 
-TEST(RepCacheTest, StampedeGuardDistinctKeysComputeIndependently) {
-  RepVectorCache cache(4, 64);
-  std::atomic<int> computations{0};
-  const int kThreads = 6;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t]() {
-      cache.GetOrCompute(EntityKind::kUser, t, [&]() {
-        computations.fetch_add(1);
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        return std::vector<float>{static_cast<float>(t)};
-      });
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(computations.load(), kThreads);
-}
+TEST(RepTableTest, PutOverwritesAndGrows) {
+  RepTable table;
+  table.Put(EntityKind::kEvent, 1, {1.0f});
+  table.Put(EntityKind::kEvent, 1, {2.0f, 3.0f});
+  EXPECT_EQ(*table.Find(EntityKind::kEvent, 1),
+            (std::vector<float>{2.0f, 3.0f}));
+  EXPECT_EQ(table.rows(EntityKind::kEvent).size(), 2u);
 
-TEST(RepCacheTest, PrecomputeSkipsComputation) {
-  RepVectorCache cache(2, 16);
-  cache.Precompute(EntityKind::kUser, 9, {4.0f});
-  auto v = cache.GetOrCompute(EntityKind::kUser, 9, []() {
-    ADD_FAILURE() << "compute should not run";
-    return std::vector<float>{};
-  });
-  EXPECT_FLOAT_EQ(v[0], 4.0f);
+  // A Put past the end grows the table and keeps what was stored.
+  table.Put(EntityKind::kEvent, 100, {7.0f});
+  EXPECT_EQ(table.rows(EntityKind::kEvent).size(), 101u);
+  EXPECT_EQ(*table.Find(EntityKind::kEvent, 100), std::vector<float>{7.0f});
+  EXPECT_EQ(*table.Find(EntityKind::kEvent, 1),
+            (std::vector<float>{2.0f, 3.0f}));
+  EXPECT_EQ(table.Find(EntityKind::kEvent, 50), nullptr);
 }
 
 }  // namespace

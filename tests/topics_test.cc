@@ -1,12 +1,11 @@
-// Tests for evrec/topics: LDA (collapsed Gibbs) and PLSA (EM) recover
-// planted topic structure, fold-in inference works on unseen documents,
-// and the word-disjoint user/event vocabulary defeats word-level matching
-// (the failure mode the paper attributes to bag-of-words models).
+// Tests for evrec/topics: LDA (collapsed Gibbs) recovers planted topic
+// structure, fold-in inference works on unseen documents, and the
+// word-disjoint user/event vocabulary defeats word-level matching (the
+// failure mode the paper attributes to bag-of-words models).
 
 #include <gtest/gtest.h>
 
 #include "evrec/topics/lda.h"
-#include "evrec/topics/plsa.h"
 #include "evrec/util/rng.h"
 
 namespace evrec {
@@ -129,62 +128,6 @@ TEST(LdaTest, DeterministicForSameSeed) {
     for (size_t k = 0; k < ma.size(); ++k) {
       EXPECT_DOUBLE_EQ(ma[k], mb[k]);
     }
-  }
-}
-
-TEST(PlsaTest, RecoversPlantedTopics) {
-  auto docs = PlantedCorpus(20, 30, 105);
-  PlsaConfig cfg;
-  cfg.num_topics = 2;
-  PlsaModel plsa;
-  plsa.Train(docs, 20, cfg);
-
-  int topic_a = ArgMax(plsa.DocTopics(0));
-  int agree = 0;
-  for (int d = 0; d < 20; ++d) {
-    if (ArgMax(plsa.DocTopics(d)) == topic_a) ++agree;
-  }
-  for (int d = 20; d < 40; ++d) {
-    if (ArgMax(plsa.DocTopics(d)) != topic_a) ++agree;
-  }
-  EXPECT_GE(agree, 38);
-}
-
-TEST(PlsaTest, FoldInOnUnseenDocument) {
-  auto docs = PlantedCorpus(20, 30, 106);
-  PlsaConfig cfg;
-  cfg.num_topics = 2;
-  PlsaModel plsa;
-  plsa.Train(docs, 20, cfg);
-  auto mix = plsa.InferTopics({12, 15, 18, 11, 13});
-  EXPECT_EQ(ArgMax(mix), ArgMax(plsa.DocTopics(20)));
-  EXPECT_GT(mix[static_cast<size_t>(ArgMax(mix))], 0.8);
-}
-
-TEST(PlsaTest, EmptyDocUniform) {
-  auto docs = PlantedCorpus(10, 20, 107);
-  PlsaConfig cfg;
-  cfg.num_topics = 2;
-  PlsaModel plsa;
-  plsa.Train(docs, 20, cfg);
-  auto mix = plsa.InferTopics({});
-  EXPECT_NEAR(mix[0], 0.5, 1e-9);
-}
-
-TEST(PlsaTest, WordGivenTopicIsDistribution) {
-  auto docs = PlantedCorpus(10, 20, 108);
-  PlsaConfig cfg;
-  cfg.num_topics = 2;
-  PlsaModel plsa;
-  plsa.Train(docs, 20, cfg);
-  for (int k = 0; k < 2; ++k) {
-    double sum = 0.0;
-    for (int w = 0; w < 20; ++w) {
-      double p = plsa.WordGivenTopic(k, w);
-      EXPECT_GE(p, 0.0);
-      sum += p;
-    }
-    EXPECT_NEAR(sum, 1.0, 1e-6);
   }
 }
 

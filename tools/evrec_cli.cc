@@ -558,7 +558,7 @@ void AddDemoObjectives(obs::SloEngine* slo, const obs::WindowOptions& window,
 // second under the monitor demo's SLO engine: the storm-grade fault rates
 // drive an alert to firing, and the profiler force-retains the degraded
 // requests' trace ids in its request table (parity with trace retention).
-FaultStormResult RunFaultStorm(const Args& args, serve::FakeClock* clock) {
+FaultStormResult RunFaultStorm(const Args& args, FakeClock* clock) {
   const bool profiling = !args.profile_out.empty();
   if (profiling) {
     obs::ProfileConfig pcfg;
@@ -617,7 +617,7 @@ FaultStormResult RunFaultStorm(const Args& args, serve::FakeClock* clock) {
 }
 
 int CmdServeDemo(const Args& args) {
-  serve::FakeClock clock;
+  FakeClock clock;
   // Spans read the simulated clock: with fixed flags the exported trace
   // is byte-identical across runs and across --threads values.
   obs::SetClock(&clock);
@@ -692,7 +692,7 @@ int CmdMetrics(const Args& args) {
                  args.format.c_str());
     return 1;
   }
-  serve::FakeClock clock;
+  FakeClock clock;
   obs::SetClock(&clock);
   FaultStormResult result = RunFaultStorm(args, &clock);
 
@@ -772,7 +772,7 @@ class SwitchableStore : public serve::VectorStore {
 // an alert through pending -> firing -> resolved with the episode's
 // traces force-retained.
 int CmdMonitor(const Args& args) {
-  serve::FakeClock clock;
+  FakeClock clock;
   obs::SetClock(&clock);
   obs::TailSamplerConfig sampler;
   sampler.keep_fraction = args.trace_sample;
@@ -793,7 +793,7 @@ int CmdMonitor(const Args& args) {
 
   sys.pipeline->RegisterHealthProbes(&health);
 
-  // Two stores over the same cache: one healthy (base latency only), one
+  // Two stores over the same table: one healthy (base latency only), one
   // with the configured fault profile; phases swap which one serves.
   serve::FaultConfig healthy_cfg;
   healthy_cfg.base_latency_micros = 100;
