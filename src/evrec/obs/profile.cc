@@ -7,23 +7,13 @@
 // mismatched; it is consistent by construction.
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
-#include <cxxabi.h>
-#include <dlfcn.h>
-#include <errno.h>
-#include <execinfo.h>
-#include <signal.h>
-#include <sys/time.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <new>
 #include <sstream>
 #include <string_view>
 
-#include "evrec/obs/trace.h"
 #include "evrec/util/string_util.h"
 
 namespace evrec {
@@ -31,9 +21,9 @@ namespace obs {
 namespace profile_internal {
 
 // The allocation/sample tallies. Trivially-initialized PODs in .tbss, so
-// they are readable from the very first allocation a thread makes and
-// from inside a signal handler (initial-exec TLS: no lazy allocation, no
-// __tls_get_addr malloc). Cumulative, never reset.
+// they are readable from the very first allocation a thread makes
+// (initial-exec TLS: no lazy allocation, no __tls_get_addr malloc).
+// Cumulative, never reset.
 thread_local uint64_t t_alloc_bytes = 0;
 thread_local uint64_t t_alloc_count = 0;
 thread_local uint64_t t_cpu_samples = 0;
@@ -61,8 +51,6 @@ ScopedTallySuppress::~ScopedTallySuppress() {
 
 namespace {
 
-constexpr int kMaxFramesCap = 64;
-
 std::string HexId(uint64_t id) {
   return StrFormat("%016llx", static_cast<unsigned long long>(id));
 }
@@ -80,105 +68,9 @@ Status WriteWholeFile(const std::string& path, const std::string& bytes) {
   return Status::Ok();
 }
 
-std::string SymbolizePc(void* pc) {
-  Dl_info info;
-  if (dladdr(pc, &info) != 0 && info.dli_sname != nullptr) {
-    int status = 0;
-    char* demangled =
-        abi::__cxa_demangle(info.dli_sname, nullptr, nullptr, &status);
-    if (status == 0 && demangled != nullptr) {
-      std::string out(demangled);
-      std::free(demangled);
-      return out;
-    }
-    return info.dli_sname;
-  }
-  return StrFormat("0x%zx", reinterpret_cast<size_t>(pc));
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Real-mode state: a Vyukov-style bounded MPMC ring the SIGPROF handler
-// enqueues into (per-slot sequence numbers; a full ring drops the sample
-// and counts it — the handler never blocks or allocates).
-
-struct Profiler::RealState {
-  struct Slot {
-    std::atomic<uint64_t> seq{0};
-    uint64_t trace_id = 0;
-    int depth = 0;
-    void* pc[kMaxFramesCap];
-  };
-
-  explicit RealState(size_t capacity) : size(capacity), mask(capacity - 1) {
-    slots.reset(new Slot[capacity]);
-    for (size_t i = 0; i < capacity; ++i) {
-      slots[i].seq.store(i, std::memory_order_relaxed);
-    }
-  }
-
-  size_t size;
-  size_t mask;
-  std::unique_ptr<Slot[]> slots;
-  std::atomic<uint64_t> head{0};
-  uint64_t tail = 0;  // guarded by the owning Profiler's mu_
-  std::atomic<uint64_t> dropped{0};
-  int max_frames = 48;
-  struct sigaction old_action;
-  struct itimerval old_timer;
-  // Symbol cache (guarded by mu_): dladdr + demangle once per unique PC.
-  std::map<void*, std::string> symbols;
-};
-
-namespace {
-
-// The profiler whose ring the SIGPROF handler feeds (null = ignore the
-// signal). Cleared by Stop before the handler is uninstalled, so a signal
-// racing a Stop finds null and returns.
-std::atomic<Profiler::RealState*> g_real_active{nullptr};
-
-// Async-signal-safe by construction: POD TLS bump, lock-free ring claim,
-// backtrace (primed at Start), memcpy. Saves/restores errno because the
-// interrupted code may be between a syscall and its errno check.
-void ProfSignalHandler(int /*signo*/, siginfo_t* /*info*/, void* /*ctx*/) {
-  const int saved_errno = errno;
-  Profiler::RealState* rs = g_real_active.load(std::memory_order_acquire);
-  if (rs != nullptr) {
-    profile_internal::t_cpu_samples += 1;
-    uint64_t pos = rs->head.load(std::memory_order_relaxed);
-    for (;;) {
-      Profiler::RealState::Slot& slot = rs->slots[pos & rs->mask];
-      const uint64_t seq = slot.seq.load(std::memory_order_acquire);
-      const int64_t dif =
-          static_cast<int64_t>(seq) - static_cast<int64_t>(pos);
-      if (dif == 0) {
-        if (rs->head.compare_exchange_weak(pos, pos + 1,
-                                           std::memory_order_relaxed)) {
-          void* frames[kMaxFramesCap + 2];
-          int depth = backtrace(frames, rs->max_frames + 2);
-          // Skip the handler and the kernel's signal trampoline so the
-          // stack starts at the interrupted frame.
-          const int skip = depth > 2 ? 2 : 0;
-          depth -= skip;
-          slot.trace_id = CurrentTraceContext().trace_id;
-          slot.depth = depth;
-          if (depth > 0) {
-            std::memcpy(slot.pc, frames + skip,
-                        sizeof(void*) * static_cast<size_t>(depth));
-          }
-          slot.seq.store(pos + 1, std::memory_order_release);
-          break;
-        }
-      } else if (dif < 0) {
-        rs->dropped.fetch_add(1, std::memory_order_relaxed);
-        break;
-      } else {
-        pos = rs->head.load(std::memory_order_relaxed);
-      }
-    }
-  }
-  errno = saved_errno;
+int64_t PeriodMicros(int sample_hz) {
+  const int hz = std::max(1, std::min(sample_hz, 1000000));
+  return std::max<int64_t>(1, 1000000 / hz);
 }
 
 }  // namespace
@@ -186,168 +78,20 @@ void ProfSignalHandler(int /*signo*/, siginfo_t* /*info*/, void* /*ctx*/) {
 // ---------------------------------------------------------------------------
 // Profiler
 
-Profiler::Profiler() = default;
-
-Profiler::~Profiler() {
-  Stop();
-  delete real_;
-  for (RealState* ring : retired_) {
-    delete ring;
-  }
-}
-
-Profiler::Mode Profiler::mode() const {
-  return static_cast<Mode>(mode_.load(std::memory_order_acquire));
-}
-
-bool Profiler::collecting() const { return mode() != Mode::kOff; }
-
-bool Profiler::armed() const {
-  return armed_.load(std::memory_order_acquire);
-}
-
-uint64_t Profiler::incident_activations() const {
-  return incident_activations_.load(std::memory_order_relaxed);
-}
-
-namespace {
-
-int64_t PeriodMicros(int sample_hz) {
-  const int hz = std::max(1, std::min(sample_hz, 1000000));
-  return std::max<int64_t>(1, 1000000 / hz);
-}
-
-size_t RingCapacity(size_t requested) {
-  size_t cap = 64;
-  while (cap < requested && cap < (1u << 20)) {
-    cap <<= 1;
-  }
-  return cap;
-}
-
-}  // namespace
-
-Status Profiler::Start(const ProfileConfig& config) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (mode() != Mode::kOff) {
-    return Status::FailedPrecondition("profiler already collecting");
-  }
-  if (g_real_active.load(std::memory_order_acquire) != nullptr) {
-    return Status::FailedPrecondition(
-        "another profiler owns SIGPROF (ITIMER_PROF is process-wide)");
-  }
-  config_ = config;
-  period_micros_ = PeriodMicros(config.sample_hz);
-  start_micros_ = CurrentClock()->NowMicros();
-
-  // Always a fresh ring: a handler delivered around a previous Stop may
-  // still be finishing a write into the old one, so retired rings are
-  // kept until the Profiler dies instead of being reused.
-  if (real_ != nullptr) {
-    dropped_offset_ -= real_->dropped.load(std::memory_order_relaxed);
-    retired_.push_back(real_);
-  }
-  real_ = new RealState(RingCapacity(config.ring_capacity));
-  real_->max_frames = std::max(1, std::min(config.max_frames, kMaxFramesCap));
-
-  // Prime backtrace outside the handler: its first call may dlopen
-  // libgcc, which allocates — fatal inside a signal.
-  void* prime[4];
-  backtrace(prime, 4);
-
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sa_sigaction = ProfSignalHandler;
-  sa.sa_flags = SA_SIGINFO | SA_RESTART;
-  sigemptyset(&sa.sa_mask);
-  if (sigaction(SIGPROF, &sa, &real_->old_action) != 0) {
-    return Status::Internal("sigaction(SIGPROF) failed");
-  }
-  g_real_active.store(real_, std::memory_order_release);
-  mode_.store(static_cast<int>(Mode::kReal), std::memory_order_release);
-
-  struct itimerval tv;
-  const long interval_usec =
-      std::max(100l, static_cast<long>(1000000 / std::max(1, config.sample_hz)));
-  tv.it_interval.tv_sec = interval_usec / 1000000;
-  tv.it_interval.tv_usec = interval_usec % 1000000;
-  tv.it_value = tv.it_interval;
-  if (setitimer(ITIMER_PROF, &tv, &real_->old_timer) != 0) {
-    g_real_active.store(nullptr, std::memory_order_release);
-    sigaction(SIGPROF, &real_->old_action, nullptr);
-    mode_.store(static_cast<int>(Mode::kOff), std::memory_order_release);
-    return Status::Internal("setitimer(ITIMER_PROF) failed");
-  }
-  return Status::Ok();
+bool Profiler::collecting() const {
+  return collecting_.load(std::memory_order_acquire);
 }
 
 void Profiler::StartDeterministic(const ProfileConfig& config) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (mode() != Mode::kOff) {
-    StopCollectionLocked();
-  }
   config_ = config;
   period_micros_ = PeriodMicros(config.sample_hz);
-  start_micros_ = CurrentClock()->NowMicros();
-  mode_.store(static_cast<int>(Mode::kDeterministic),
-              std::memory_order_release);
+  collecting_.store(true, std::memory_order_release);
 }
 
 void Profiler::Stop() {
   std::lock_guard<std::mutex> lock(mu_);
-  StopCollectionLocked();
-}
-
-void Profiler::StopCollectionLocked() {
-  const Mode m = mode();
-  if (m == Mode::kOff) {
-    return;
-  }
-  if (m == Mode::kReal && real_ != nullptr) {
-    // Order matters: disarm the timer (no new signals), neutralize the
-    // handler (a racing delivery sees null and returns), then restore the
-    // previous disposition.
-    setitimer(ITIMER_PROF, &real_->old_timer, nullptr);
-    g_real_active.store(nullptr, std::memory_order_release);
-    sigaction(SIGPROF, &real_->old_action, nullptr);
-    DrainPendingLocked();
-  }
-  mode_.store(static_cast<int>(Mode::kOff), std::memory_order_release);
-}
-
-void Profiler::Arm(const ProfileConfig& config) {
-  std::lock_guard<std::mutex> lock(mu_);
-  armed_config_ = config;
-  armed_.store(true, std::memory_order_release);
-}
-
-void Profiler::EnsureIncidentCollection() {
-  if (collecting() || !armed()) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (mode() != Mode::kOff) {
-    return;
-  }
-  // Incident profiles use the deterministic span-driven mode: flipping
-  // SIGPROF on mid-incident would add signal load to an already-degraded
-  // process, and span stacks are what the alert runbooks read anyway.
-  config_ = armed_config_;
-  period_micros_ = PeriodMicros(config_.sample_hz);
-  start_micros_ = CurrentClock()->NowMicros();
-  mode_.store(static_cast<int>(Mode::kDeterministic),
-              std::memory_order_release);
-  incident_activations_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Profiler::MaybeExpire() {
-  if (config_.max_duration_micros <= 0 || mode() == Mode::kOff) {
-    return;
-  }
-  if (CurrentClock()->NowMicros() - start_micros_ >=
-      config_.max_duration_micros) {
-    StopCollectionLocked();
-  }
+  collecting_.store(false, std::memory_order_release);
 }
 
 void Profiler::MarkIncidentTrace(uint64_t trace_id) {
@@ -369,13 +113,12 @@ void Profiler::SetTickSource(TickFn fn) {
 
 void Profiler::ChargeSpan(const ProfileFrame* leaf, int64_t self_micros,
                           uint64_t alloc_bytes, uint64_t alloc_count) {
-  if (leaf == nullptr || mode() != Mode::kDeterministic) {
+  if (leaf == nullptr || !collecting()) {
     return;
   }
   ScopedTallySuppress suppress;
   std::lock_guard<std::mutex> lock(mu_);
-  MaybeExpire();
-  if (mode() != Mode::kDeterministic) {
+  if (!collecting()) {
     return;
   }
   if (self_micros < 0) {
@@ -453,7 +196,6 @@ void Profiler::NoteRequest(uint64_t trace_id, uint64_t cpu_samples,
   }
   ScopedTallySuppress suppress;
   std::lock_guard<std::mutex> lock(mu_);
-  MaybeExpire();
   if (!collecting()) {
     return;
   }
@@ -511,80 +253,9 @@ void Profiler::NoteRequestLocked(uint64_t trace_id, uint64_t cpu_samples,
   }
 }
 
-size_t Profiler::DrainPending() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return DrainPendingLocked();
-}
-
-size_t Profiler::DrainPendingLocked() {
-  if (real_ == nullptr) {
-    return 0;
-  }
-  ScopedTallySuppress suppress;
-  size_t folded = 0;
-  for (;;) {
-    RealState::Slot& slot = real_->slots[real_->tail & real_->mask];
-    const uint64_t seq = slot.seq.load(std::memory_order_acquire);
-    if (static_cast<int64_t>(seq) -
-            static_cast<int64_t>(real_->tail + 1) < 0) {
-      break;  // ring empty (or the producer has not finished this slot)
-    }
-    const uint64_t trace_id = slot.trace_id;
-    const int depth = std::min(slot.depth, kMaxFramesCap);
-    void* pc[kMaxFramesCap];
-    if (depth > 0) {
-      std::memcpy(pc, slot.pc, sizeof(void*) * static_cast<size_t>(depth));
-    }
-    slot.seq.store(real_->tail + real_->size, std::memory_order_release);
-    ++real_->tail;
-
-    std::string stack;
-    for (int i = depth - 1; i >= 0; --i) {
-      auto cached = real_->symbols.find(pc[i]);
-      if (cached == real_->symbols.end()) {
-        cached = real_->symbols.emplace(pc[i], SymbolizePc(pc[i])).first;
-      }
-      if (!stack.empty()) {
-        stack += ';';
-      }
-      stack += cached->second;
-    }
-    if (stack.empty()) {
-      stack = "??";
-    }
-    StackCost cost;
-    cost.samples = 1;
-    AddCostLocked(stack, cost);
-    // Attribute the sample to its request if the request is (still)
-    // retained — catches samples landing on pool workers, which the
-    // serving thread's own tally window cannot see.
-    if (trace_id != 0) {
-      size_t scanned = 0;
-      for (auto it = requests_.rbegin();
-           it != requests_.rend() && scanned < 128; ++it, ++scanned) {
-        if (it->trace_id == trace_id) {
-          it->cpu_samples += 1;
-          break;
-        }
-      }
-    }
-    ++folded;
-  }
-  return folded;
-}
-
 uint64_t Profiler::total_samples() const {
   std::lock_guard<std::mutex> lock(mu_);
   return total_samples_;
-}
-
-uint64_t Profiler::dropped_samples() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const int64_t raw =
-      real_ != nullptr
-          ? static_cast<int64_t>(real_->dropped.load(std::memory_order_relaxed))
-          : 0;
-  return static_cast<uint64_t>(raw + dropped_offset_);
 }
 
 uint64_t Profiler::total_alloc_bytes() const {
@@ -623,40 +294,14 @@ std::vector<ProfileRequestEntry> Profiler::RequestEntries() const {
   return std::vector<ProfileRequestEntry>(requests_.begin(), requests_.end());
 }
 
-void Profiler::WriteFolded(std::ostream& os) const {
-  for (const ProfileStackEntry& e : StackEntries()) {
-    if (e.samples == 0) {
-      continue;  // folded output is the CPU flamegraph; alloc-only
-                 // stacks live in the text profile
-    }
-    os << e.stack << ' ' << e.samples << '\n';
-  }
-}
-
-Status Profiler::WriteFolded(const std::string& path) const {
-  std::ostringstream os;
-  WriteFolded(os);
-  return WriteWholeFile(path, os.str());
-}
-
 void Profiler::WriteText(std::ostream& os) const {
   std::vector<ProfileStackEntry> stacks = StackEntries();
   std::vector<ProfileRequestEntry> requests = RequestEntries();
   std::lock_guard<std::mutex> lock(mu_);
   os << "# evrec profile v1\n";
-  os << "# mode "
-     << (mode() == Mode::kReal
-             ? "real"
-             : (mode() == Mode::kDeterministic ? "deterministic" : "off"))
-     << '\n';
+  os << "# mode deterministic\n";
   os << "# period_micros " << period_micros_ << '\n';
   os << "# total_samples " << total_samples_ << '\n';
-  const int64_t raw_dropped =
-      real_ != nullptr
-          ? static_cast<int64_t>(real_->dropped.load(std::memory_order_relaxed))
-          : 0;
-  os << "# dropped_samples "
-     << static_cast<uint64_t>(raw_dropped + dropped_offset_) << '\n';
   os << "# total_alloc_bytes " << total_alloc_bytes_ << '\n';
   os << "# total_alloc_count " << total_alloc_count_ << '\n';
   for (const ProfileStackEntry& e : stacks) {
@@ -677,20 +322,12 @@ Status Profiler::WriteText(const std::string& path) const {
 
 void Profiler::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  DrainPendingLocked();
   stacks_.clear();
   requests_.clear();
   forced_requests_ = 0;
   total_samples_ = 0;
   total_alloc_bytes_ = 0;
   total_alloc_count_ = 0;
-  incident_activations_.store(0, std::memory_order_relaxed);
-  if (real_ != nullptr) {
-    dropped_offset_ = -static_cast<int64_t>(
-        real_->dropped.load(std::memory_order_relaxed));
-  } else {
-    dropped_offset_ = 0;
-  }
 }
 
 Profiler* Profiler::Global() {
@@ -721,8 +358,6 @@ StatusOr<ParsedProfile> ParseProfileText(const std::string& text) {
         hs >> out.period_micros;
       } else if (key == "total_samples") {
         hs >> out.total_samples;
-      } else if (key == "dropped_samples") {
-        hs >> out.dropped_samples;
       } else if (key == "total_alloc_bytes") {
         hs >> out.total_alloc_bytes;
       } else if (key == "total_alloc_count") {
@@ -829,12 +464,11 @@ void WriteProfileReport(const ParsedProfile& profile,
   }
 
   const int top_n = std::max(1, options.top_n);
-  os << StrFormat("profile: mode=%s period=%lldus samples=%llu dropped=%llu "
+  os << StrFormat("profile: mode=%s period=%lldus samples=%llu "
                   "alloc=%lluB/%llu\n",
                   profile.mode.c_str(),
                   static_cast<long long>(profile.period_micros),
                   static_cast<unsigned long long>(profile.total_samples),
-                  static_cast<unsigned long long>(profile.dropped_samples),
                   static_cast<unsigned long long>(profile.total_alloc_bytes),
                   static_cast<unsigned long long>(profile.total_alloc_count));
 

@@ -1,46 +1,29 @@
-// In-process sampling profiler with allocation accounting.
+// In-process span-driven profiler with allocation accounting.
 //
 // Answers the question the metric/trace layers cannot: where, inside an
-// instrumented span, CPU time and heap traffic actually go. Two collection
-// modes feed one aggregate of folded stacks:
+// instrumented span, CPU time and heap traffic actually go. Collection is
+// span-driven: every closing trace span charges floor(self_micros / period)
+// samples to its symbolic span-name stack (root;child;leaf), which
+// util/trace_context propagates across ParallelFor shards exactly like
+// trace ids. The period is 1e6 / sample_hz micros of span self-time, so
+// the exported rate is exact by construction. Under a FakeClock the
+// exported profile is byte-identical across runs and across --threads.
+// An injectable tick source and a synthetic stack provider
+// (RecordSynthetic) let tests replace the clock arithmetic entirely.
 //
-//   kReal           SIGPROF fires `sample_hz` times per second of consumed
-//                   CPU time; the signal handler walks the real call stack
-//                   (backtrace) and pushes raw PCs plus the interrupted
-//                   thread's trace id into a bounded lock-free ring. The
-//                   ring is drained and symbolized (dladdr) off the hot
-//                   path — never inside the handler.
+// Allocation accounting is always cheap: linking this library replaces
+// the global operator new/delete (profile.cc) with versions that bump
+// thread-local byte/count tallies before delegating to malloc/free.
+// obs::ScopedSpan snapshots the tallies at open and charges its *self*
+// window (own window minus same-thread children's windows) at close, so
+// every stack in the profile carries heap traffic next to CPU samples, and
+// serve::RecommendationService can tag each request with its allocation
+// cost. The tallies count cumulative traffic, not live bytes — frees are
+// free.
 //
-//   kDeterministic  No signals. Every closing trace span charges
-//                   floor(self_micros / period) synthetic samples to its
-//                   symbolic span-name stack (root;child;leaf), which
-//                   util/trace_context propagates across ParallelFor
-//                   shards exactly like trace ids. Under a FakeClock the
-//                   exported profile is byte-identical across runs and
-//                   across --threads — this is the mode every CLI demo and
-//                   CI gate uses. An injectable tick source and a
-//                   synthetic stack provider (RecordSynthetic) let tests
-//                   replace the clock arithmetic entirely.
-//
-// Allocation accounting is mode-independent and always cheap: linking this
-// library replaces the global operator new/delete (profile.cc) with
-// versions that bump thread-local byte/count tallies before delegating to
-// malloc/free. obs::ScopedSpan snapshots the tallies at open and charges
-// its *self* window (own window minus same-thread children's windows) at
-// close, so every stack in the profile carries heap traffic next to CPU
-// samples, and serve::RecommendationService can tag each request with its
-// allocation cost. The tallies count cumulative traffic, not live bytes —
-// frees are free.
-//
-// Signal-safety rules (kReal): the handler touches only POD thread-locals,
-// lock-free atomics, backtrace() (primed once at Start so its lazy dlopen
-// happens outside the handler), and memcpy; it saves/restores errno and
-// never allocates, locks, or formats.
-//
-// SLO coupling: Arm() stores a config without collecting. While any burn-
-// rate alert is firing, SloEngine::RecordRequest force-enables collection
-// (EnsureIncidentCollection) and retains the degraded request's trace id
-// in the profile (MarkIncidentTrace) — the profile-side mirror of
+// SLO coupling: while any burn-rate alert is firing, SloEngine::
+// RecordRequest retains the degraded request's trace id in a collecting
+// profile (MarkIncidentTrace) — the profile-side mirror of
 // TraceLog::MarkKeep — so an operator gets a flamegraph of the incident,
 // not just a burn rate.
 
@@ -64,31 +47,19 @@ namespace evrec {
 namespace obs {
 
 struct ProfileConfig {
-  // Samples per second of CPU time (kReal: SIGPROF rate; kDeterministic:
-  // one synthetic sample per 1e6/sample_hz micros of span self-time).
+  // One sample per 1e6/sample_hz micros of span self-time.
   int sample_hz = 100;
-  // kReal: capacity of the pending-sample ring (rounded up to a power of
-  // two). Overflow drops samples and counts them, never blocks.
-  size_t ring_capacity = 8192;
-  // kReal: stack frames kept per sample (hard cap 64).
-  int max_frames = 48;
   // Bound on retained per-request cost entries; when full, the oldest
   // non-incident entry is evicted first (incident entries parallel trace
   // retention and survive as long as possible).
   size_t max_request_entries = 4096;
-  // Auto-stop: collection turns itself off once this much observability-
-  // clock time has elapsed since Start (0 = run until Stop). Deterministic
-  // under a FakeClock.
-  int64_t max_duration_micros = 0;
-  // Where the CLI writes the text profile on exit (informational here).
-  std::string out_path;
 };
 
 // One folded stack ("root;child;leaf") with its accumulated costs.
 struct ProfileStackEntry {
   std::string stack;
   uint64_t samples = 0;
-  int64_t self_micros = 0;  // kDeterministic only; 0 in kReal
+  int64_t self_micros = 0;
   uint64_t alloc_bytes = 0;
   uint64_t alloc_count = 0;
 };
@@ -129,44 +100,28 @@ class ScopedTallySuppress {
 
 class Profiler {
  public:
-  enum class Mode { kOff, kReal, kDeterministic };
-
-  Profiler();
-  ~Profiler();
+  Profiler() = default;
 
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
-  // Starts SIGPROF sampling. Fails if this (or another) Profiler is
-  // already collecting in real mode — ITIMER_PROF is process-wide.
-  Status Start(const ProfileConfig& config);
-  // Starts deterministic (span-driven) collection. Never fails.
+  // Starts (or restarts with a new `config`) span-driven collection. Any
+  // existing aggregate is kept; Clear() drops it.
   void StartDeterministic(const ProfileConfig& config);
-  // Stops collection (disarms the timer in kReal) and folds any pending
-  // ring samples into the aggregate. The aggregate survives for export.
+  // Stops collection. The aggregate survives for export, and nothing is
+  // charged once Stop returns.
   void Stop();
 
-  Mode mode() const;
   bool collecting() const;
-
-  // Incident profiling: stores `config` without starting. The first
-  // EnsureIncidentCollection() after arming starts deterministic
-  // collection with the stored config; subsequent calls are no-ops while
-  // collection is live. Unarmed and idle, both calls are no-ops.
-  void Arm(const ProfileConfig& config);
-  bool armed() const;
-  void EnsureIncidentCollection();
-  // Times incident collection was activated by a firing alert.
-  uint64_t incident_activations() const;
 
   // Retains `trace_id` in the request table as an incident (forced) entry:
   // upgrades the entry if the id is already present, inserts a cost-less
   // placeholder otherwise (NoteRequest fills the cost in later). The
-  // profile-side mirror of TraceLog::MarkKeep.
+  // profile-side mirror of TraceLog::MarkKeep. A no-op unless collecting.
   void MarkIncidentTrace(uint64_t trace_id);
 
-  // kDeterministic: charges a closing span's self cost to the symbolic
-  // stack named by walking `leaf` to the root. Called by ScopedSpan.
+  // Charges a closing span's self cost to the symbolic stack named by
+  // walking `leaf` to the root. Called by ScopedSpan.
   void ChargeSpan(const ProfileFrame* leaf, int64_t self_micros,
                   uint64_t alloc_bytes, uint64_t alloc_count);
 
@@ -176,9 +131,9 @@ class Profiler {
                        uint64_t samples, int64_t self_micros,
                        uint64_t alloc_bytes, uint64_t alloc_count);
 
-  // Injectable tick source (kDeterministic): maps span self-time to a
-  // sample count. Default: self_micros / (1e6 / sample_hz). nullptr
-  // restores the default.
+  // Injectable tick source: maps span self-time to a sample count.
+  // Default: self_micros / (1e6 / sample_hz). nullptr restores the
+  // default.
   using TickFn = std::function<uint64_t(int64_t self_micros)>;
   void SetTickSource(TickFn fn);
 
@@ -188,13 +143,7 @@ class Profiler {
   void NoteRequest(uint64_t trace_id, uint64_t cpu_samples,
                    uint64_t alloc_bytes, bool forced);
 
-  // kReal: folds pending ring samples into the aggregate (symbolizing
-  // via dladdr) and returns how many were folded. Stop() and the
-  // exporters call this; safe to call any time.
-  size_t DrainPending();
-
   uint64_t total_samples() const;
-  uint64_t dropped_samples() const;  // ring overflow (kReal)
   uint64_t total_alloc_bytes() const;
   uint64_t total_alloc_count() const;
   uint64_t forced_requests() const;
@@ -204,23 +153,18 @@ class Profiler {
   std::vector<ProfileStackEntry> StackEntries() const;
   std::vector<ProfileRequestEntry> RequestEntries() const;
 
-  // Folded-stack export (`stack;frames N`), flamegraph.pl input, sorted.
-  void WriteFolded(std::ostream& os) const;
-  Status WriteFolded(const std::string& path) const;
   // Self-describing text profile (protobuf-less pprof-style: header
   // comments, one `stack`/`request` record per line). ParseProfileText
-  // round-trips it.
+  // round-trips it and WriteFoldedFromParsed turns it into flamegraph
+  // input.
   void WriteText(std::ostream& os) const;
   Status WriteText(const std::string& path) const;
 
-  // Drops the aggregate, request table, and counters; keeps mode/config.
+  // Drops the aggregate, request table, and counters; keeps the config
+  // and whether collection is on.
   void Clear();
 
   static Profiler* Global();
-
-  // kReal machinery (ring + saved signal/timer state). Public only so the
-  // file-local SIGPROF handler can reach the ring; not part of the API.
-  struct RealState;
 
  private:
   struct StackCost {
@@ -233,20 +177,13 @@ class Profiler {
   void AddCostLocked(const std::string& stack, const StackCost& cost);
   void NoteRequestLocked(uint64_t trace_id, uint64_t cpu_samples,
                          uint64_t alloc_bytes, bool forced);
-  // Deterministic auto-stop: disables collection once the configured
-  // duration has elapsed on the observability clock.
-  void MaybeExpire();
-  size_t DrainPendingLocked();
-  void StopCollectionLocked();
 
   mutable std::mutex mu_;
   ProfileConfig config_;
-  ProfileConfig armed_config_;
-  std::atomic<int> mode_{static_cast<int>(Mode::kOff)};
-  std::atomic<bool> armed_{false};
-  std::atomic<uint64_t> incident_activations_{0};
+  // Read without mu_ on the span-close fast path; written under mu_, and
+  // re-checked under it before anything is charged.
+  std::atomic<bool> collecting_{false};
   int64_t period_micros_ = 10000;
-  int64_t start_micros_ = 0;
   TickFn tick_fn_;
 
   std::map<std::string, StackCost> stacks_;
@@ -255,16 +192,6 @@ class Profiler {
   uint64_t total_samples_ = 0;
   uint64_t total_alloc_bytes_ = 0;
   uint64_t total_alloc_count_ = 0;
-  // Applied to the ring's raw dropped counter so Clear() can zero the
-  // reported value without touching an atomic a handler may be bumping.
-  int64_t dropped_offset_ = 0;
-
-  // Current ring (behind an opaque pointer so this header stays free of
-  // <signal.h> / <execinfo.h>) plus rings retired by a later Start: a
-  // signal delivered around a Stop may still be completing a slot write,
-  // so old rings are kept until the Profiler itself dies.
-  RealState* real_ = nullptr;
-  std::vector<RealState*> retired_;
 };
 
 // ---------------------------------------------------------------------------
@@ -274,7 +201,6 @@ struct ParsedProfile {
   std::string mode;
   int64_t period_micros = 0;
   uint64_t total_samples = 0;
-  uint64_t dropped_samples = 0;
   uint64_t total_alloc_bytes = 0;
   uint64_t total_alloc_count = 0;
   std::vector<ProfileStackEntry> stacks;

@@ -251,10 +251,8 @@ void SloEngine::RecordRequest(bool error, int64_t latency_micros,
     // The episode is live: keep this request's trace whatever the tail
     // sampler would have decided, and mirror the retention into the
     // profiler so the incident's flamegraph names the same trace ids.
-    // An armed profiler starts collecting on the first degraded request.
     trace_log_->MarkKeep(trace_id);
     ++traces_marked_;
-    profiler_->EnsureIncidentCollection();
     profiler_->MarkIncidentTrace(trace_id);
   }
 }

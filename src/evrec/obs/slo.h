@@ -160,8 +160,7 @@ class SloEngine {
   // Registry for transition counters (nullptr = process global); trace_log
   // for forced retention while firing (nullptr = TraceLog::Global());
   // profiler for incident profiling while firing (nullptr =
-  // Profiler::Global() — a no-op unless the profiler was Arm()ed or is
-  // already collecting).
+  // Profiler::Global() — a no-op unless the profiler is collecting).
   explicit SloEngine(Clock* clock, MetricRegistry* registry = nullptr,
                      TraceLog* trace_log = nullptr,
                      Profiler* profiler = nullptr);

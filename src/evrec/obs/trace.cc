@@ -16,7 +16,7 @@ namespace {
 
 std::atomic<Clock*> g_clock{nullptr};
 
-// Innermost open span on this thread (for AddSpanTag / ActiveTraceId).
+// Innermost open span on this thread (for AddSpanTag).
 thread_local ScopedSpan* t_active_span = nullptr;
 
 std::string JsonEscape(const std::string& s) {
@@ -37,29 +37,6 @@ std::string JsonEscape(const std::string& s) {
 
 std::string HexId(uint64_t id) {
   return StrFormat("%016llx", static_cast<unsigned long long>(id));
-}
-
-std::string TagsJson(const SpanEvent& e) {
-  std::string out = "{";
-  for (size_t i = 0; i < e.tags.size(); ++i) {
-    out += StrFormat("%s\"%s\": \"%s\"", i == 0 ? "" : ", ",
-                     JsonEscape(e.tags[i].first).c_str(),
-                     JsonEscape(e.tags[i].second).c_str());
-  }
-  out += "}";
-  return out;
-}
-
-std::string SpanJsonLine(const SpanEvent& e) {
-  return StrFormat(
-      "{\"name\": \"%s\", \"depth\": %d, \"start_us\": %lld, "
-      "\"dur_us\": %lld, \"trace\": \"%s\", \"span\": \"%s\", "
-      "\"parent\": \"%s\", \"thread\": %d, \"tags\": %s}\n",
-      JsonEscape(e.name).c_str(), e.depth,
-      static_cast<long long>(e.start_micros),
-      static_cast<long long>(e.duration_micros), HexId(e.trace_id).c_str(),
-      HexId(e.span_id).c_str(), HexId(e.parent_id).c_str(), e.thread,
-      TagsJson(e).c_str());
 }
 
 Status WriteWholeFile(const std::string& path, const std::string& bytes) {
@@ -90,11 +67,6 @@ Clock* CurrentClock() {
 
 TraceLog::TraceLog(size_t capacity)
     : capacity_(std::max<size_t>(1, capacity)) {}
-
-void TraceLog::set_capacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = std::max<size_t>(1, capacity);
-}
 
 void TraceLog::SetSampler(const TailSamplerConfig& sampler) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -204,16 +176,6 @@ void TraceLog::Clear() {
   pending_.clear();
   dropped_ = 0;
   sampled_out_ = 0;
-}
-
-void TraceLog::DumpJsonLines(std::ostream& os) const {
-  for (const SpanEvent& e : Snapshot()) os << SpanJsonLine(e);
-}
-
-Status TraceLog::DumpJsonLines(const std::string& path) const {
-  std::string out;
-  for (const SpanEvent& e : Snapshot()) out += SpanJsonLine(e);
-  return WriteWholeFile(path, out);
 }
 
 void TraceLog::DumpText(std::ostream& os) const {
@@ -389,10 +351,6 @@ void AddSpanTag(const std::string& key, std::string value) {
   if (t_active_span != nullptr) {
     t_active_span->AddTag(key, std::move(value));
   }
-}
-
-uint64_t ActiveTraceId() {
-  return t_active_span != nullptr ? t_active_span->trace_id_ : 0;
 }
 
 }  // namespace obs

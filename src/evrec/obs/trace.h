@@ -32,8 +32,9 @@
 // retained set is identical across runs and thread counts. Retained spans
 // live in a bounded ring buffer (evictions counted in `trace.dropped` with
 // a rate-limited warning — long training runs no longer accumulate spans
-// forever) and export as JSON lines (back-compatible), a human text table,
-// or Chrome trace-event JSON loadable in Perfetto / chrome://tracing.
+// forever) and export as a human text table or as Chrome trace-event JSON
+// loadable in Perfetto / chrome://tracing (the format obs/trace_analysis
+// reads back).
 
 #ifndef EVREC_OBS_TRACE_H_
 #define EVREC_OBS_TRACE_H_
@@ -90,8 +91,6 @@ class TraceLog {
 
   explicit TraceLog(size_t capacity = kDefaultCapacity);
 
-  // Applies to future appends; an over-full ring evicts oldest first.
-  void set_capacity(size_t capacity);
   void SetSampler(const TailSamplerConfig& sampler);
   TailSamplerConfig sampler() const;
 
@@ -115,13 +114,6 @@ class TraceLog {
   // Whole traces discarded by the tail sampler (also "trace.sampled_out").
   uint64_t sampled_out() const;
   void Clear();
-
-  // One JSON object per line: {"name": ..., "depth": N, "start_us": N,
-  // "dur_us": N, ...} — the original four keys first (back compatible),
-  // then trace/span/parent ids (16-digit hex), thread, and tags.
-  // Deterministic given deterministic clock readings.
-  void DumpJsonLines(std::ostream& os) const;
-  Status DumpJsonLines(const std::string& path) const;
 
   // Human table: close-ordered rows, indented two spaces per depth.
   void DumpText(std::ostream& os) const;
@@ -187,7 +179,6 @@ class ScopedSpan {
 
  private:
   friend void AddSpanTag(const std::string& key, std::string value);
-  friend uint64_t ActiveTraceId();
 
   const char* name_;
   MetricRegistry* registry_;
@@ -215,9 +206,6 @@ class ScopedSpan {
 // span is open. Lets leaf code (retry loops, circuit breaker) annotate the
 // request span without plumbing a span pointer through every signature.
 void AddSpanTag(const std::string& key, std::string value);
-
-// Trace id of the innermost open span on this thread (0 when none).
-uint64_t ActiveTraceId();
 
 }  // namespace obs
 }  // namespace evrec

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "evrec/obs/profile.h"
 #include "evrec/obs/trace.h"
 #include "evrec/util/binary_io.h"
 #include "evrec/util/checkpoint.h"

@@ -27,7 +27,6 @@
 #include "evrec/model/siamese.h"
 #include "evrec/model/trainer.h"
 #include "evrec/obs/health.h"
-#include "evrec/obs/profile.h"
 #include "evrec/pipeline/encoders.h"
 #include "evrec/serve/vector_store.h"
 #include "evrec/store/rep_table.h"
@@ -66,10 +65,6 @@ struct PipelineConfig {
   // therefore the trained bits (it participates in the model fingerprint).
   int threads = 1;
   int grad_shards = 8;
-  // In-process profiler settings (sampling rate, bounds, output path).
-  // The pipeline itself never starts the profiler — callers (evrec_cli
-  // serve-demo, tests) decide when; this carries the knobs end to end.
-  obs::ProfileConfig profile;
 };
 
 struct EvalResult {

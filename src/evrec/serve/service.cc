@@ -328,8 +328,8 @@ RankResponse RecommendationService::Rank(int user,
                                  request_span.trace_id());
   }
   // Per-request profiler attribution, after RecordRequest: a firing alert
-  // has already force-enabled an armed profiler and marked this trace, so
-  // the cost entry merges into the incident placeholder.
+  // has already marked this trace, so the cost entry merges into the
+  // incident placeholder.
   obs::Profiler* profiler = backends_.profiler != nullptr
                                 ? backends_.profiler
                                 : obs::Profiler::Global();

@@ -582,10 +582,7 @@ TEST(SloEngineTest, FiringForcesProfileRetentionParallelToTraces) {
   TraceLog trace_log(1024);
   Profiler profiler;
   SloEngine engine(&clock, &registry, &trace_log, &profiler);
-  // Armed but not collecting: the first firing alert force-starts an
-  // incident collection (deterministic mode).
-  profiler.Arm(ProfileConfig());
-  EXPECT_FALSE(profiler.collecting());
+  profiler.StartDeterministic(ProfileConfig());
 
   SloConfig latency;
   latency.name = "latency";
@@ -601,14 +598,11 @@ TEST(SloEngineTest, FiringForcesProfileRetentionParallelToTraces) {
     engine.RecordRequest(false, 1000, /*trace_id=*/100 + t);
     clock.Advance(1000000);
   }
-  EXPECT_EQ(profiler.incident_activations(), 0u);
   EXPECT_EQ(profiler.forced_requests(), 0u);
 
   engine.RecordRequest(false, 50000, /*trace_id=*/7);
   engine.RecordRequest(false, 50000, /*trace_id=*/8);
   EXPECT_TRUE(engine.AnyFiring());
-  EXPECT_EQ(profiler.incident_activations(), 1u);
-  EXPECT_TRUE(profiler.collecting());
 
   // Profile retention parallels trace retention: every trace the engine
   // force-kept while firing has a forced entry in the profiler's request

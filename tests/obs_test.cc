@@ -369,31 +369,6 @@ TEST_F(SpanTest, MacroExpandsToBlockScopedSpan) {
   TraceLog::Global()->Clear();
 }
 
-TEST_F(SpanTest, JsonLinesHaveOneObjectPerSpan) {
-  FakeClock clock;
-  SetClock(&clock);
-  MetricRegistry registry;
-  TraceLog log;
-  {
-    ScopedSpan a("a", &registry, &log);
-    clock.Advance(1);
-  }
-  {
-    ScopedSpan b("b", &registry, &log);
-    clock.Advance(2);
-  }
-  std::ostringstream os;
-  log.DumpJsonLines(os);
-  std::string text = os.str();
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
-  EXPECT_NE(text.find("{\"name\": \"a\""), std::string::npos);
-  // The four original keys still lead each line (back compatibility);
-  // trace identity follows.
-  EXPECT_NE(text.find("\"dur_us\": 2,"), std::string::npos);
-  EXPECT_NE(text.find("\"trace\": "), std::string::npos);
-  EXPECT_NE(text.find("\"tags\": {}"), std::string::npos);
-}
-
 // ---------- trace identity, propagation, sampling ----------
 
 TEST_F(SpanTest, NestedSpansShareTraceAndLinkParents) {

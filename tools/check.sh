@@ -27,8 +27,8 @@
 # Each sanitizer uses its own build directory (build-address/,
 # build-undefined/, build-thread/) so instrumented and plain objects never
 # mix. The thread build runs only the concurrency-heavy suites (obs_test,
-# monitor_test for the rolling-window/SLO paths, profile_test for the
-# signal handler and lock-free sample ring, util_test,
+# monitor_test for the rolling-window/SLO paths, profile_test for span
+# charging from ParallelFor shards, util_test,
 # checkpoint_test for kill-and-resume of the data-parallel trainers,
 # parallel_test, serve_test): TSan's ~5-15x slowdown makes the full suite
 # impractical, and the remaining tests are single-threaded.
@@ -199,14 +199,14 @@ fi
 
 if [ "$mode" = "profile" ]; then
   # The profiler gate. Three layers:
-  #   1. the profiler suites (signal handler, allocation accountant,
-  #      deterministic mode, request table) plus the obs/serve consumers
-  #      under ASan, UBSan, and TSan — the SIGPROF smoke test runs under
-  #      each, so handler signal-safety and the lock-free ring are
-  #      sanitizer-verified;
+  #   1. the profiler suites (span charging, allocation accountant,
+  #      request table) plus the obs/serve consumers under ASan, UBSan,
+  #      and TSan — the ParallelFor shard tests charge spans from pool
+  #      workers, so cross-thread charging is sanitizer-verified;
   #   2. end-to-end byte-identity: `serve-demo --profile-out` exports must
-  #      be bit-for-bit identical between --threads 1 and 4 (deterministic
-  #      mode is the contract: span-charged costs on the simulated clock);
+  #      be bit-for-bit identical between --threads 1 and 4 (span-charged
+  #      costs on the simulated clock), and the header must name the mode
+  #      and the exact period asked for;
   #   3. the offline analyzer: the report must reproduce the serve frames
   #      and the SLO-forced request entries, the folded export must be
   #      non-empty flamegraph input, and bench_diff must treat *_bytes
@@ -238,6 +238,9 @@ if [ "$mode" = "profile" ]; then
     exit 1
   fi
   echo "profile export identical across thread counts"
+  grep -qx '# mode deterministic' "$work/t1/profile.txt"
+  grep -qx '# period_micros 100' "$work/t1/profile.txt"
+  echo "profile header names the mode and the 10000 Hz period"
 
   # The replay's SLO alert must have fired: degraded requests appear as
   # forced entries (trailing field 1) keyed by their trace ids.
