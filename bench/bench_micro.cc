@@ -1,7 +1,12 @@
 // Microbenchmarks (google-benchmark): kernel and serving-path costs —
 // tokenization, encoding, convolution forward/backward, tower inference,
-// GBDT training and prediction, and the stored-vs-recomputed pairwise
-// scoring path that motivates the paper's §4 serving design.
+// GBDT training, the stored-vs-recomputed pairwise scoring path that
+// motivates the paper's §4 serving design, the SIMD kernels and the
+// observability hot paths. GBDT prediction on real assembled rows is
+// perfbench's gbdt.predict.us_per_candidate.
+//
+// Run the kernels under the scalar tier for the SIMD speedup:
+//   EVREC_SIMD=scalar ./bench/bench_micro --benchmark_filter=Kernel
 
 #include <benchmark/benchmark.h>
 
@@ -10,9 +15,14 @@
 #include "evrec/la/matrix.h"
 #include "evrec/la/vec_ops.h"
 #include "evrec/model/joint_model.h"
+#include "evrec/obs/metrics.h"
+#include "evrec/obs/monitor.h"
+#include "evrec/obs/profile.h"
+#include "evrec/obs/trace.h"
 #include "evrec/store/rep_table.h"
 #include "evrec/text/encoder.h"
 #include "evrec/text/normalizer.h"
+#include "evrec/util/clock.h"
 #include "evrec/util/math_util.h"
 #include "evrec/util/rng.h"
 
@@ -179,27 +189,6 @@ void BM_GbdtTrain(benchmark::State& state) {
 }
 BENCHMARK(BM_GbdtTrain)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
 
-void BM_GbdtPredict(benchmark::State& state) {
-  Rng rng(5);
-  gbdt::DataMatrix x(2000, 20);
-  std::vector<float> y(2000);
-  for (int r = 0; r < 2000; ++r) {
-    for (int c = 0; c < 20; ++c) {
-      x.Set(r, c, static_cast<float>(rng.Normal()));
-    }
-    y[static_cast<size_t>(r)] = x.At(r, 0) > 0 ? 1.0f : 0.0f;
-  }
-  gbdt::GbdtConfig cfg;  // 200 trees x 12 leaves (paper capacity)
-  gbdt::GbdtModel model;
-  model.Train(x, y, cfg);
-  int row = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.PredictProbability(x.Row(row)));
-    row = (row + 1) % 2000;
-  }
-}
-BENCHMARK(BM_GbdtPredict);
-
 // --- SIMD kernel layer (la/simd/) ---
 
 void BM_KernelDot(benchmark::State& state) {
@@ -252,6 +241,87 @@ void BM_KernelScoreBlock8(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelScoreBlock8)->Arg(32)->Arg(64)->Arg(128);
+
+// --- Observability hot paths (obs/) ---
+
+// The fake clock advances 50 us per op, so bucket rotation (the
+// non-trivial branch of the rolling-window hot path) runs, not just the
+// accumulate-into-current-bucket fast path.
+void BM_MonitorCounterAdd(benchmark::State& state) {
+  FakeClock clock(0);
+  obs::Monitor monitor(&clock);
+  obs::RollingCounter* counter = monitor.GetCounter("bench.requests");
+  for (auto _ : state) {
+    counter->Add();
+    clock.Advance(50);
+  }
+}
+BENCHMARK(BM_MonitorCounterAdd);
+
+void BM_MonitorHistogramRecord(benchmark::State& state) {
+  FakeClock clock(0);
+  obs::Monitor monitor(&clock);
+  obs::RollingHistogram* hist = monitor.GetHistogram("bench.micros");
+  int i = 0;
+  for (auto _ : state) {
+    hist->Record(static_cast<double>(i++ & 1023));
+    clock.Advance(50);
+  }
+}
+BENCHMARK(BM_MonitorHistogramRecord);
+
+// Deterministic profiler collection for the lifetime of a benchmark.
+class ScopedProfiling {
+ public:
+  ScopedProfiling() {
+    obs::Profiler::Global()->Clear();
+    obs::ProfileConfig config;
+    config.sample_hz = 1000;
+    obs::Profiler::Global()->StartDeterministic(config);
+  }
+  ~ScopedProfiling() {
+    obs::Profiler::Global()->Stop();
+    obs::Profiler::Global()->Clear();
+  }
+  ScopedProfiling(const ScopedProfiling&) = delete;
+  ScopedProfiling& operator=(const ScopedProfiling&) = delete;
+};
+
+// One span open/close charged to the live profiler: the per-scope cost
+// trainers and the serving path pay. The spans go to their own registry
+// and trace log, and the log is emptied (untimed) before its ring fills,
+// so the loop never evicts spans and never logs a ring-full warning.
+void BM_ProfiledSpan(benchmark::State& state) {
+  ScopedProfiling profiling;
+  obs::MetricRegistry registry;
+  obs::TraceLog log;
+  size_t recorded = 0;
+  for (auto _ : state) {
+    { obs::ScopedSpan span("bench.profiled_span", &registry, &log); }
+    if (++recorded == obs::TraceLog::kDefaultCapacity) {
+      state.PauseTiming();
+      log.Clear();
+      recorded = 0;
+      state.ResumeTiming();
+    }
+  }
+}
+BENCHMARK(BM_ProfiledSpan);
+
+// One new[]/delete[] round trip through the replaced global operators,
+// which bump the thread-local allocation tallies.
+void BM_TalliedAlloc(benchmark::State& state) {
+  ScopedProfiling profiling;
+  obs::MetricRegistry registry;
+  obs::TraceLog log;
+  obs::ScopedSpan span("bench.tallied_alloc", &registry, &log);
+  for (auto _ : state) {
+    char* p = new char[64];
+    benchmark::DoNotOptimize(p);
+    delete[] p;
+  }
+}
+BENCHMARK(BM_TalliedAlloc);
 
 }  // namespace
 }  // namespace evrec

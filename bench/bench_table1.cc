@@ -9,7 +9,7 @@
 //
 // Expected shape: Rep-only < Baseline < Baseline+Rep, with the score
 // feature adding almost nothing on top of the vectors (the GBDT already
-// captures per-dimension interactions).
+// captures per-dimension interactions). Exits 1 when a shape check fails.
 
 #include <cstdio>
 
@@ -73,34 +73,5 @@ int main() {
   std::printf("AUC lift from rep features: %+.1f%% (paper: +6%%)\n",
               100.0 * (results[2].auc - results[1].auc) / results[1].auc);
 
-  std::map<std::string, double> metrics = {
-      {"auc_rep_only", results[0].auc},
-      {"auc_baseline", results[1].auc},
-      {"auc_baseline_plus_rep", results[2].auc},
-      {"auc_all", results[3].auc},
-      {"pr60_all", results[3].pr60},
-      {"pr80_all", results[3].pr80}};
-  // Data-parallel trainer sweep (1/2/4/8 threads) on the same prepared
-  // dataset: records measured speedup_vs_1thread and the determinism check.
-  for (const auto& [key, value] : bench::RunTrainerThreadSweep(*pipeline)) {
-    metrics[key] = value;
-  }
-  // Live-telemetry hot-path overhead (ns/op) and exposition-write cost so
-  // bench_diff catches monitoring regressions alongside model quality.
-  for (const auto& [key, value] : bench::MonitorOverheadMetrics()) {
-    metrics[key] = value;
-  }
-  // Profiler hot-path overhead (span charge, tallied allocation, export)
-  // so bench_diff catches profiling-cost regressions the same way.
-  for (const auto& [key, value] : bench::ProfilerOverheadMetrics()) {
-    metrics[key] = value;
-  }
-  // SIMD kernel-layer throughput (dot/gemv/score-block ns/op, scalar-tier
-  // speedups, and the flat candidate-scoring rate) so bench_diff gates
-  // kernel regressions alongside model quality.
-  for (const auto& [key, value] : bench::KernelThroughputMetrics()) {
-    metrics[key] = value;
-  }
-  bench::WriteBenchJson("table1", metrics);
-  return 0;
+  return rep_below_baseline && rep_lifts_baseline && score_adds_little ? 0 : 1;
 }

@@ -11,7 +11,7 @@
 // Expected shape: CF adds a modest lift over base (limited by event
 // transiency); representation features add substantially more; with rep
 // features present, CF's marginal contribution mostly vanishes (the gains
-// overlap).
+// overlap). Exits 1 when a shape check fails.
 
 #include <cstdio>
 
@@ -64,23 +64,14 @@ int main() {
   double cf_gain = results[1].auc - results[0].auc;
   double rep_gain = results[2].auc - results[0].auc;
   double cf_gain_given_rep = results[3].auc - results[2].auc;
+  bool cf_lifts_base = cf_gain > 0.0;
+  bool rep_beats_cf = rep_gain > cf_gain;
+  bool cf_redundant_given_rep = cf_gain_given_rep < cf_gain + 0.01;
   std::printf("\nshape: CF adds a modest lift over base      : %s (%+.3f)\n",
-              cf_gain > 0.0 ? "OK" : "MISMATCH", cf_gain);
+              cf_lifts_base ? "OK" : "MISMATCH", cf_gain);
   std::printf("shape: rep features add more than CF        : %s (%+.3f)\n",
-              rep_gain > cf_gain ? "OK" : "MISMATCH", rep_gain);
+              rep_beats_cf ? "OK" : "MISMATCH", rep_gain);
   std::printf("shape: CF mostly redundant once rep present : %s (%+.3f)\n",
-              cf_gain_given_rep < cf_gain + 0.01 ? "OK" : "MISMATCH",
-              cf_gain_given_rep);
-
-  bench::WriteBenchJson(
-      "table2",
-      {{"auc_base_no_cf", results[0].auc},
-       {"auc_base_cf", results[1].auc},
-       {"auc_base_rep", results[2].auc},
-       {"auc_all", results[3].auc},
-       {"cf_gain", cf_gain},
-       {"rep_gain", rep_gain},
-       {"trainer_threads",
-        static_cast<double>(pipeline->config().threads)}});
-  return 0;
+              cf_redundant_given_rep ? "OK" : "MISMATCH", cf_gain_given_rep);
+  return cf_lifts_base && rep_beats_cf && cf_redundant_given_rep ? 0 : 1;
 }

@@ -16,9 +16,9 @@
 #ifndef EVREC_BENCH_COMMON_BENCH_PROFILE_H_
 #define EVREC_BENCH_COMMON_BENCH_PROFILE_H_
 
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "evrec/pipeline/pipeline.h"
 
@@ -34,54 +34,6 @@ int BenchThreads();
 // BenchThreads()).
 pipeline::PipelineConfig BenchProfile();
 
-// Data-parallel trainer sweep: trains a short (2-epoch) copy of the bench
-// representation model at 1/2/4/8 worker threads on the pipeline's
-// prepared dataset and returns metrics for WriteBenchJson:
-//   train_seconds_t<N>    wall seconds at N threads
-//   final_loss_t<N>       last epoch's training loss at N threads
-//   speedup_vs_1thread    t1 seconds / t8 seconds (measured, not assumed)
-//   sweep_deterministic   1 when every thread count produced bit-identical
-//                         epoch losses (the engine's contract), else 0
-//   hardware_threads      what the machine actually offers — read the
-//                         speedup against this (a 1-core box cannot show
-//                         parallel speedup no matter the engine)
-std::map<std::string, double> RunTrainerThreadSweep(
-    const pipeline::TwoStagePipeline& pipeline);
-
-// Hot-path overhead of the live-telemetry layer (obs/monitor.h), measured
-// on a FakeClock so bucket rotation is exercised deterministically:
-//   monitor_counter_ns_per_op    one RollingCounter::Add
-//   monitor_histogram_ns_per_op  one RollingHistogram::Record
-//   openmetrics_write_micros     one full OpenMetrics exposition of the
-//                                global registry plus a populated monitor
-// All three are lower-is-better, so bench_diff gates regressions.
-std::map<std::string, double> MonitorOverheadMetrics();
-
-// Hot-path overhead of the in-process profiler (obs/profile.h) while
-// deterministic collection is live:
-//   profiler_span_ns_per_op   one ScopedSpan open/close charged to the
-//                             aggregate (the per-phase instrumentation
-//                             cost trainers and the serving path pay)
-//   profiler_alloc_ns_per_op  one tallied new[]/delete[] round trip
-//                             through the replaced global operators
-//   profiler_export_micros    one full text-profile export of the
-//                             aggregate the loop above produced
-// All three are lower-is-better, so bench_diff gates regressions.
-std::map<std::string, double> ProfilerOverheadMetrics();
-
-// Throughput of the dispatched SIMD kernel layer (la/simd/) and the
-// batched serving scorer, at the representation dims 32/64/128:
-//   dot_d<D>_ns_per_op          one la::DotF under the native tier
-//   gemv_d<D>_ns_per_op         one 64xD Matrix::Gemv under the native tier
-//   score_block_d<D>_ns_per_op  one 8-candidate cosine block sweep
-//   simd_dot_speedup_d<D>       scalar-tier ns / native-tier ns
-//   simd_gemv_speedup_d<D>      scalar-tier ns / native-tier ns
-//   score_candidates_per_sec_flat  candidates/sec, flat blocked layout
-//   simd_level                     active tier (0 scalar, 1 sse2, 2 avx2)
-// ns_per_op metrics are lower-is-better; the per_sec and speedup metrics
-// are higher-is-better — both named so bench_diff gates the right way.
-std::map<std::string, double> KernelThroughputMetrics();
-
 // Builds the pipeline, trains (or loads) the representation model, and
 // precomputes all representation vectors. Prints coarse phase timing.
 std::unique_ptr<pipeline::TwoStagePipeline> MakeTrainedPipeline(
@@ -93,12 +45,6 @@ void PrintHeader(const char* title);
 // Writes a P/R curve as CSV next to the binary (for external plotting).
 void WriteCurveCsv(const std::string& path, const std::string& series,
                    const std::vector<eval::PrPoint>& curve);
-
-// Writes BENCH_<name>.json in the working directory: the caller's headline
-// metrics plus the wall time of every "span.*" phase recorded in the
-// global metric registry so far (pipeline phases, trainer epochs, ...).
-void WriteBenchJson(const std::string& name,
-                    const std::map<std::string, double>& metrics);
 
 }  // namespace bench
 }  // namespace evrec
