@@ -11,7 +11,6 @@
 #include <benchmark/benchmark.h>
 
 #include "evrec/gbdt/gbdt.h"
-#include "evrec/la/flat_block.h"
 #include "evrec/la/matrix.h"
 #include "evrec/la/vec_ops.h"
 #include "evrec/model/joint_model.h"
@@ -219,28 +218,6 @@ void BM_KernelGemv(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KernelGemv)->Arg(32)->Arg(64)->Arg(128);
-
-// One 8-candidate cosine sweep over a flat block: the serving scorer's
-// inner loop (FlatVectorBlock::CosineBlock).
-void BM_KernelScoreBlock8(benchmark::State& state) {
-  const int dim = static_cast<int>(state.range(0));
-  Rng rng(9);
-  la::FlatVectorBlock block(dim);
-  std::vector<float> q(static_cast<size_t>(dim));
-  for (auto& v : q) v = static_cast<float>(rng.Uniform(-1, 1));
-  for (int i = 0; i < 8; ++i) {
-    std::vector<float> v(static_cast<size_t>(dim));
-    for (auto& f : v) f = static_cast<float>(rng.Uniform(-1, 1));
-    block.Append(v);
-  }
-  const float q2 = la::DotF(q.data(), q.data(), dim);
-  float scores8[8];
-  for (auto _ : state) {
-    block.CosineBlock(0, q.data(), q2, scores8);
-    benchmark::DoNotOptimize(scores8);
-  }
-}
-BENCHMARK(BM_KernelScoreBlock8)->Arg(32)->Arg(64)->Arg(128);
 
 // --- Observability hot paths (obs/) ---
 

@@ -15,7 +15,7 @@
 #include "bench/common/bench_profile.h"
 #include "evrec/eval/table_printer.h"
 #include "evrec/simnet/docs.h"
-#include "evrec/util/math_util.h"
+#include "evrec/store/rep_table.h"
 
 namespace {
 
@@ -47,7 +47,6 @@ int main() {
   auto pipeline = bench::MakeTrainedPipeline(bench::BenchProfile());
   const auto& dataset = pipeline->dataset();
   const auto& reps = pipeline->event_reps();
-  const int rep_dim = static_cast<int>(reps[0].size());
 
   int same_category_hits = 0, total_neighbours = 0;
   double total_word_overlap = 0.0;
@@ -64,29 +63,19 @@ int main() {
     if (seed < 0) continue;
     const auto& seed_event = dataset.events[static_cast<size_t>(seed)];
 
-    std::vector<std::pair<double, int>> scored;
-    for (const auto& e : dataset.events) {
-      if (e.id == seed) continue;
-      double sim = CosineSimilarity(reps[static_cast<size_t>(seed)].data(),
-                                    reps[static_cast<size_t>(e.id)].data(),
-                                    rep_dim);
-      scored.emplace_back(sim, e.id);
-    }
-    std::sort(scored.rbegin(), scored.rend());
+    const std::vector<store::Neighbor> nearest = store::NearestByCosine(
+        reps[static_cast<size_t>(seed)], reps, seed, /*k=*/3);
 
     std::printf("Seed [%s]: %s\n", seed_event.category_name.c_str(),
                 JoinWords(seed_event.title_words).c_str());
     eval::TablePrinter table(
         {"cosine", "category", "title", "word-jaccard"});
-    for (int k = 0; k < 3 && k < static_cast<int>(scored.size()); ++k) {
-      const auto& e =
-          dataset.events[static_cast<size_t>(scored[static_cast<size_t>(k)]
-                                                 .second)];
+    for (const store::Neighbor& neighbor : nearest) {
+      const auto& e = dataset.events[static_cast<size_t>(neighbor.id)];
       double overlap = WordJaccard(simnet::EventTextWords(seed_event),
                                    simnet::EventTextWords(e));
-      table.AddRow({eval::Metric3(scored[static_cast<size_t>(k)].first),
-                    e.category_name, JoinWords(e.title_words),
-                    eval::Metric3(overlap)});
+      table.AddRow({eval::Metric3(neighbor.score), e.category_name,
+                    JoinWords(e.title_words), eval::Metric3(overlap)});
       ++total_neighbours;
       if (e.category == seed_event.category) ++same_category_hits;
       total_word_overlap += overlap;
@@ -105,9 +94,8 @@ int main() {
   std::printf("mean word-space overlap: %.3f (low = semantic, not lexical,"
               " match)\n",
               total_word_overlap / std::max(1, total_neighbours));
+  const bool shape_ok = purity > 3.0 / pipeline->config().simnet.num_topics;
   std::printf("shape: neighbours match seed topic well above chance : %s\n",
-              purity > 3.0 / pipeline->config().simnet.num_topics
-                  ? "OK"
-                  : "MISMATCH");
-  return 0;
+              shape_ok ? "OK" : "MISMATCH");
+  return shape_ok ? 0 : 1;
 }

@@ -5,7 +5,7 @@
 //   2. precompute user/event vectors into the id-indexed table serving
 //      reads (the paper's TAO store)
 //   3. train the GBDT combiner on week 5 with baseline + rep features
-//   4. serve week-6 recommendations: batched-cosine retrieval over the
+//   4. serve week-6 recommendations: exact cosine retrieval over the
 //      stored vectors narrows the candidates, then the combiner ranks the
 //      retrieved set with STORED vectors (no neural network at serve time)
 //
@@ -18,6 +18,7 @@
 
 #include "evrec/pipeline/pipeline.h"
 #include "evrec/simnet/docs.h"
+#include "evrec/store/rep_table.h"
 #include "evrec/util/logging.h"
 #include "evrec/util/timer.h"
 
@@ -68,17 +69,19 @@ int main() {
   timer.Reset();
   int scored_pairs = 0;
   for (int user = 0; user < 3; ++user) {
-    // Stage-1 retrieval: batched cosine over the cached vectors (8
-    // candidates per kernel sweep), heap-selected top 40. The combiner
-    // then ranks only the retrieved set.
-    std::vector<serve::ScoredCandidate> retrieved =
-        pipeline.RetrieveTopEvents(user, candidates, 40);
+    // Stage-1 retrieval: exact cosine of the user's cached vector to every
+    // active event's, top 40. The combiner then ranks only the retrieved
+    // set.
+    const std::vector<store::Neighbor> retrieved = store::NearestByCosine(
+        pipeline.user_reps()[static_cast<size_t>(user)],
+        pipeline.event_reps(), candidates, 40);
     std::vector<std::pair<double, int>> ranked;
     std::vector<float> row;
-    for (const serve::ScoredCandidate& sc : retrieved) {
+    for (const store::Neighbor& neighbor : retrieved) {
       row.clear();
-      assembler.ExtractRow(user, sc.id, day, features, &row);
-      ranked.emplace_back(combiner.PredictProbability(row.data()), sc.id);
+      assembler.ExtractRow(user, neighbor.id, day, features, &row);
+      ranked.emplace_back(combiner.PredictProbability(row.data()),
+                          neighbor.id);
       ++scored_pairs;
     }
     std::sort(ranked.rbegin(), ranked.rend());

@@ -5,15 +5,13 @@
 //
 // Build & run:  ./build/examples/related_events
 
-#include <algorithm>
 #include <cstdio>
 
-#include "evrec/ann/ivf_index.h"
 #include "evrec/model/siamese.h"
 #include "evrec/pipeline/pipeline.h"
 #include "evrec/simnet/docs.h"
+#include "evrec/store/rep_table.h"
 #include "evrec/util/logging.h"
-#include "evrec/util/math_util.h"
 
 namespace {
 
@@ -69,27 +67,21 @@ int main() {
               stats.train_loss.front(), stats.train_loss.back(),
               stats.epochs_run);
 
-  // Embed every event and serve nearest-neighbour queries through the
-  // IVF approximate index (sublinear related-event search).
+  // Embed every event, then rank all of them by exact cosine to the seed.
   std::vector<std::vector<float>> reps;
   reps.reserve(dataset.events.size());
   for (const auto& input : pipeline.rep_data().event_inputs) {
     reps.push_back(tower.Represent(input));
   }
-  ann::IvfIndex index;
-  ann::IvfConfig ivf;
-  ivf.num_lists = 12;
-  index.Build(reps, ivf);
 
   const int seed = 0;
   const auto& seed_event = dataset.events[seed];
   std::printf("\nseed event [%s]: %s\n", seed_event.category_name.c_str(),
               JoinWords(seed_event.title_words).c_str());
 
-  auto results = index.Search(reps[seed], 5, /*nprobe=*/3, /*exclude=*/seed);
-  std::printf("top related events (IVF, 3/%d lists probed, recall@5=%.2f "
-              "vs exact):\n",
-              index.num_lists(), index.RecallAtK(reps[seed], 5, 3));
+  const std::vector<store::Neighbor> results =
+      store::NearestByCosine(reps[seed], reps, /*exclude=*/seed, /*k=*/5);
+  std::printf("top related events (exact cosine):\n");
   for (const auto& r : results) {
     const auto& e = dataset.events[static_cast<size_t>(r.id)];
     std::printf("  %.3f [%s] %s\n", r.score, e.category_name.c_str(),

@@ -15,22 +15,14 @@ namespace simd {
 struct KernelTable {
   // <x, y> with the 8-lane blocked reduction.
   float (*dot)(const float* x, const float* y, int n);
-  // One-pass <a,b>, |a|^2, |b|^2 (all float, 8-lane scheme each).
-  void (*dot_and_norms)(const float* a, const float* b, int n, float* dot,
-                        float* a_sqnorm, float* b_sqnorm);
   // y += alpha * x
   void (*axpy)(float alpha, const float* x, float* y, int n);
-  // x *= alpha
-  void (*scale)(float alpha, float* x, int n);
   // out = a + b
   void (*add)(const float* a, const float* b, float* out, int n);
   // out[i] = tanh(x[i]) via the shared rational polynomial (tanh_poly.h).
   void (*tanh_forward)(const float* x, float* out, int n);
   // dx[i] = dy[i] * (1 - y[i]^2)
   void (*tanh_backward)(const float* y, const float* dy, float* dx, int n);
-  // dx[i] += dy[i] * (1 - y[i]^2)
-  void (*tanh_backward_accum)(const float* y, const float* dy, float* dx,
-                              int n);
   // gw[i] += dyi * x[i]; dx[i] += dyi * w[i]
   void (*fused_grad_input)(float dyi, const float* x, const float* w,
                            float* gw, float* dx, int n);
@@ -43,15 +35,6 @@ struct KernelTable {
   // M += alpha * y * x^T; skips rows with alpha * y[r] == 0.
   void (*add_outer)(float* m, int rows, int cols, float alpha,
                     const float* y, const float* x);
-  // dots[l] = <q, v_l> for the 8 vectors interleaved in one flat block
-  // (layout: block[d * 8 + l] = element d of vector l). Lane l accumulates
-  // sequentially over d, so there is no cross-lane reduction at all and
-  // every tier is trivially bit-identical.
-  void (*dot_block8)(const float* q, const float* block, int dim,
-                     float* dots);
-  // Same sweep, also producing sqns[l] = |v_l|^2 (for cosine scoring).
-  void (*dot_sqn_block8)(const float* q, const float* block, int dim,
-                         float* dots, float* sqns);
 };
 
 // Tier accessors. ScalarTable() always exists; the x86 tiers return

@@ -37,33 +37,6 @@ float Avx2Dot(const float* x, const float* y, int n) {
   return Reduce8(s);
 }
 
-void Avx2DotAndNorms(const float* a, const float* b, int n, float* dot,
-                     float* a_sqnorm, float* b_sqnorm) {
-  __m256 d = _mm256_setzero_ps();
-  __m256 na = _mm256_setzero_ps();
-  __m256 nb = _mm256_setzero_ps();
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256 va = _mm256_loadu_ps(a + i);
-    __m256 vb = _mm256_loadu_ps(b + i);
-    d = _mm256_add_ps(d, _mm256_mul_ps(va, vb));
-    na = _mm256_add_ps(na, _mm256_mul_ps(va, va));
-    nb = _mm256_add_ps(nb, _mm256_mul_ps(vb, vb));
-  }
-  alignas(32) float sd[8], sa[8], sb[8];
-  _mm256_store_ps(sd, d);
-  _mm256_store_ps(sa, na);
-  _mm256_store_ps(sb, nb);
-  for (; i < n; ++i) {
-    sd[i & 7] += a[i] * b[i];
-    sa[i & 7] += a[i] * a[i];
-    sb[i & 7] += b[i] * b[i];
-  }
-  *dot = Reduce8(sd);
-  *a_sqnorm = Reduce8(sa);
-  *b_sqnorm = Reduce8(sb);
-}
-
 void Avx2Axpy(float alpha, const float* x, float* y, int n) {
   const __m256 va = _mm256_set1_ps(alpha);
   int i = 0;
@@ -73,15 +46,6 @@ void Avx2Axpy(float alpha, const float* x, float* y, int n) {
                                    _mm256_mul_ps(va, _mm256_loadu_ps(x + i))));
   }
   for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void Avx2Scale(float alpha, float* x, int n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(x + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), va));
-  }
-  for (; i < n; ++i) x[i] *= alpha;
 }
 
 void Avx2Add(const float* a, const float* b, float* out, int n) {
@@ -134,19 +98,6 @@ void Avx2TanhBackward(const float* y, const float* dy, float* dx, int n) {
   for (; i < n; ++i) dx[i] = dy[i] * (1.0f - y[i] * y[i]);
 }
 
-void Avx2TanhBackwardAccum(const float* y, const float* dy, float* dx,
-                           int n) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256 vy = _mm256_loadu_ps(y + i);
-    __m256 g = _mm256_mul_ps(_mm256_loadu_ps(dy + i),
-                             _mm256_sub_ps(one, _mm256_mul_ps(vy, vy)));
-    _mm256_storeu_ps(dx + i, _mm256_add_ps(_mm256_loadu_ps(dx + i), g));
-  }
-  for (; i < n; ++i) dx[i] += dy[i] * (1.0f - y[i] * y[i]);
-}
-
 void Avx2FusedGradInput(float dyi, const float* x, const float* w, float* gw,
                         float* dx, int n) {
   const __m256 vd = _mm256_set1_ps(dyi);
@@ -190,48 +141,19 @@ void Avx2AddOuter(float* m, int rows, int cols, float alpha, const float* y,
   }
 }
 
-void Avx2DotBlock8(const float* q, const float* block, int dim,
-                   float* dots) {
-  __m256 acc = _mm256_setzero_ps();
-  for (int d = 0; d < dim; ++d) {
-    acc = _mm256_add_ps(
-        acc, _mm256_mul_ps(_mm256_set1_ps(q[d]),
-                           _mm256_loadu_ps(block + static_cast<long>(d) * 8)));
-  }
-  _mm256_storeu_ps(dots, acc);
-}
-
-void Avx2DotSqnBlock8(const float* q, const float* block, int dim,
-                      float* dots, float* sqns) {
-  __m256 acc = _mm256_setzero_ps();
-  __m256 nrm = _mm256_setzero_ps();
-  for (int d = 0; d < dim; ++d) {
-    const __m256 col = _mm256_loadu_ps(block + static_cast<long>(d) * 8);
-    acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(q[d]), col));
-    nrm = _mm256_add_ps(nrm, _mm256_mul_ps(col, col));
-  }
-  _mm256_storeu_ps(dots, acc);
-  _mm256_storeu_ps(sqns, nrm);
-}
-
 }  // namespace
 
 const KernelTable* Avx2Table() {
   static const KernelTable table = {
       Avx2Dot,
-      Avx2DotAndNorms,
       Avx2Axpy,
-      Avx2Scale,
       Avx2Add,
       Avx2TanhForward,
       Avx2TanhBackward,
-      Avx2TanhBackwardAccum,
       Avx2FusedGradInput,
       Avx2Gemv,
       Avx2GemvTransposedAccum,
       Avx2AddOuter,
-      Avx2DotBlock8,
-      Avx2DotSqnBlock8,
   };
   return &table;
 }

@@ -12,19 +12,14 @@ namespace simd {
 const KernelTable* ScalarTable() {
   static const KernelTable table = {
       ScalarDot,
-      ScalarDotAndNorms,
       ScalarAxpy,
-      ScalarScale,
       ScalarAdd,
       ScalarTanhForward,
       ScalarTanhBackward,
-      ScalarTanhBackwardAccum,
       ScalarFusedGradInput,
       ScalarGemv,
       ScalarGemvTransposedAccum,
       ScalarAddOuter,
-      ScalarDotBlock8,
-      ScalarDotSqnBlock8,
   };
   return &table;
 }

@@ -35,39 +35,6 @@ float Sse2Dot(const float* x, const float* y, int n) {
   return Reduce8(s);
 }
 
-void Sse2DotAndNorms(const float* a, const float* b, int n, float* dot,
-                     float* a_sqnorm, float* b_sqnorm) {
-  __m128 d0 = _mm_setzero_ps(), d1 = _mm_setzero_ps();
-  __m128 na0 = _mm_setzero_ps(), na1 = _mm_setzero_ps();
-  __m128 nb0 = _mm_setzero_ps(), nb1 = _mm_setzero_ps();
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m128 va0 = _mm_loadu_ps(a + i), va1 = _mm_loadu_ps(a + i + 4);
-    __m128 vb0 = _mm_loadu_ps(b + i), vb1 = _mm_loadu_ps(b + i + 4);
-    d0 = _mm_add_ps(d0, _mm_mul_ps(va0, vb0));
-    d1 = _mm_add_ps(d1, _mm_mul_ps(va1, vb1));
-    na0 = _mm_add_ps(na0, _mm_mul_ps(va0, va0));
-    na1 = _mm_add_ps(na1, _mm_mul_ps(va1, va1));
-    nb0 = _mm_add_ps(nb0, _mm_mul_ps(vb0, vb0));
-    nb1 = _mm_add_ps(nb1, _mm_mul_ps(vb1, vb1));
-  }
-  alignas(16) float sd[8], sa[8], sb[8];
-  _mm_store_ps(sd, d0);
-  _mm_store_ps(sd + 4, d1);
-  _mm_store_ps(sa, na0);
-  _mm_store_ps(sa + 4, na1);
-  _mm_store_ps(sb, nb0);
-  _mm_store_ps(sb + 4, nb1);
-  for (; i < n; ++i) {
-    sd[i & 7] += a[i] * b[i];
-    sa[i & 7] += a[i] * a[i];
-    sb[i & 7] += b[i] * b[i];
-  }
-  *dot = Reduce8(sd);
-  *a_sqnorm = Reduce8(sa);
-  *b_sqnorm = Reduce8(sb);
-}
-
 void Sse2Axpy(float alpha, const float* x, float* y, int n) {
   const __m128 va = _mm_set1_ps(alpha);
   int i = 0;
@@ -77,15 +44,6 @@ void Sse2Axpy(float alpha, const float* x, float* y, int n) {
         _mm_add_ps(_mm_loadu_ps(y + i), _mm_mul_ps(va, _mm_loadu_ps(x + i))));
   }
   for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void Sse2Scale(float alpha, float* x, int n) {
-  const __m128 va = _mm_set1_ps(alpha);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(x + i, _mm_mul_ps(_mm_loadu_ps(x + i), va));
-  }
-  for (; i < n; ++i) x[i] *= alpha;
 }
 
 void Sse2Add(const float* a, const float* b, float* out, int n) {
@@ -138,19 +96,6 @@ void Sse2TanhBackward(const float* y, const float* dy, float* dx, int n) {
   for (; i < n; ++i) dx[i] = dy[i] * (1.0f - y[i] * y[i]);
 }
 
-void Sse2TanhBackwardAccum(const float* y, const float* dy, float* dx,
-                           int n) {
-  const __m128 one = _mm_set1_ps(1.0f);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128 vy = _mm_loadu_ps(y + i);
-    __m128 g = _mm_mul_ps(_mm_loadu_ps(dy + i),
-                          _mm_sub_ps(one, _mm_mul_ps(vy, vy)));
-    _mm_storeu_ps(dx + i, _mm_add_ps(_mm_loadu_ps(dx + i), g));
-  }
-  for (; i < n; ++i) dx[i] += dy[i] * (1.0f - y[i] * y[i]);
-}
-
 void Sse2FusedGradInput(float dyi, const float* x, const float* w, float* gw,
                         float* dx, int n) {
   const __m128 vd = _mm_set1_ps(dyi);
@@ -194,58 +139,19 @@ void Sse2AddOuter(float* m, int rows, int cols, float alpha, const float* y,
   }
 }
 
-void Sse2DotBlock8(const float* q, const float* block, int dim,
-                   float* dots) {
-  __m128 a0 = _mm_setzero_ps();
-  __m128 a1 = _mm_setzero_ps();
-  for (int d = 0; d < dim; ++d) {
-    const float* col = block + static_cast<long>(d) * 8;
-    const __m128 qd = _mm_set1_ps(q[d]);
-    a0 = _mm_add_ps(a0, _mm_mul_ps(qd, _mm_loadu_ps(col)));
-    a1 = _mm_add_ps(a1, _mm_mul_ps(qd, _mm_loadu_ps(col + 4)));
-  }
-  _mm_storeu_ps(dots, a0);
-  _mm_storeu_ps(dots + 4, a1);
-}
-
-void Sse2DotSqnBlock8(const float* q, const float* block, int dim,
-                      float* dots, float* sqns) {
-  __m128 a0 = _mm_setzero_ps(), a1 = _mm_setzero_ps();
-  __m128 n0 = _mm_setzero_ps(), n1 = _mm_setzero_ps();
-  for (int d = 0; d < dim; ++d) {
-    const float* col = block + static_cast<long>(d) * 8;
-    const __m128 c0 = _mm_loadu_ps(col);
-    const __m128 c1 = _mm_loadu_ps(col + 4);
-    const __m128 qd = _mm_set1_ps(q[d]);
-    a0 = _mm_add_ps(a0, _mm_mul_ps(qd, c0));
-    a1 = _mm_add_ps(a1, _mm_mul_ps(qd, c1));
-    n0 = _mm_add_ps(n0, _mm_mul_ps(c0, c0));
-    n1 = _mm_add_ps(n1, _mm_mul_ps(c1, c1));
-  }
-  _mm_storeu_ps(dots, a0);
-  _mm_storeu_ps(dots + 4, a1);
-  _mm_storeu_ps(sqns, n0);
-  _mm_storeu_ps(sqns + 4, n1);
-}
-
 }  // namespace
 
 const KernelTable* Sse2Table() {
   static const KernelTable table = {
       Sse2Dot,
-      Sse2DotAndNorms,
       Sse2Axpy,
-      Sse2Scale,
       Sse2Add,
       Sse2TanhForward,
       Sse2TanhBackward,
-      Sse2TanhBackwardAccum,
       Sse2FusedGradInput,
       Sse2Gemv,
       Sse2GemvTransposedAccum,
       Sse2AddOuter,
-      Sse2DotBlock8,
-      Sse2DotSqnBlock8,
   };
   return &table;
 }

@@ -42,35 +42,8 @@ inline float ScalarDot(const float* x, const float* y, int n) {
   return Reduce8(s);
 }
 
-inline void ScalarDotAndNorms(const float* a, const float* b, int n,
-                              float* dot, float* a_sqnorm, float* b_sqnorm) {
-  float sd[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  float sa[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  float sb[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    for (int l = 0; l < 8; ++l) {
-      sd[l] += a[i + l] * b[i + l];
-      sa[l] += a[i + l] * a[i + l];
-      sb[l] += b[i + l] * b[i + l];
-    }
-  }
-  for (; i < n; ++i) {
-    sd[i & 7] += a[i] * b[i];
-    sa[i & 7] += a[i] * a[i];
-    sb[i & 7] += b[i] * b[i];
-  }
-  *dot = Reduce8(sd);
-  *a_sqnorm = Reduce8(sa);
-  *b_sqnorm = Reduce8(sb);
-}
-
 inline void ScalarAxpy(float alpha, const float* x, float* y, int n) {
   for (int i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
-inline void ScalarScale(float alpha, float* x, int n) {
-  for (int i = 0; i < n; ++i) x[i] *= alpha;
 }
 
 inline void ScalarAdd(const float* a, const float* b, float* out, int n) {
@@ -84,11 +57,6 @@ inline void ScalarTanhForward(const float* x, float* out, int n) {
 inline void ScalarTanhBackward(const float* y, const float* dy, float* dx,
                                int n) {
   for (int i = 0; i < n; ++i) dx[i] = dy[i] * (1.0f - y[i] * y[i]);
-}
-
-inline void ScalarTanhBackwardAccum(const float* y, const float* dy,
-                                    float* dx, int n) {
-  for (int i = 0; i < n; ++i) dx[i] += dy[i] * (1.0f - y[i] * y[i]);
 }
 
 inline void ScalarFusedGradInput(float dyi, const float* x, const float* w,
@@ -123,35 +91,6 @@ inline void ScalarAddOuter(float* m, int rows, int cols, float alpha,
     float ay = alpha * y[r];
     if (ay == 0.0f) continue;
     ScalarAxpy(ay, x, m + static_cast<long>(r) * cols, cols);
-  }
-}
-
-inline void ScalarDotBlock8(const float* q, const float* block, int dim,
-                            float* dots) {
-  float acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  for (int d = 0; d < dim; ++d) {
-    const float* col = block + static_cast<long>(d) * 8;
-    const float qd = q[d];
-    for (int l = 0; l < 8; ++l) acc[l] += qd * col[l];
-  }
-  for (int l = 0; l < 8; ++l) dots[l] = acc[l];
-}
-
-inline void ScalarDotSqnBlock8(const float* q, const float* block, int dim,
-                               float* dots, float* sqns) {
-  float acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  float nrm[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  for (int d = 0; d < dim; ++d) {
-    const float* col = block + static_cast<long>(d) * 8;
-    const float qd = q[d];
-    for (int l = 0; l < 8; ++l) {
-      acc[l] += qd * col[l];
-      nrm[l] += col[l] * col[l];
-    }
-  }
-  for (int l = 0; l < 8; ++l) {
-    dots[l] = acc[l];
-    sqns[l] = nrm[l];
   }
 }
 

@@ -20,15 +20,6 @@ float DotF(const float* x, const float* y, int n) {
   return simd::ActiveKernels().dot(x, y, n);
 }
 
-void DotAndNorms(const float* a, const float* b, int n, float* dot,
-                 float* a_sqnorm, float* b_sqnorm) {
-  simd::ActiveKernels().dot_and_norms(a, b, n, dot, a_sqnorm, b_sqnorm);
-}
-
-void Scale(float alpha, float* x, int n) {
-  simd::ActiveKernels().scale(alpha, x, n);
-}
-
 void Add(const float* a, const float* b, float* out, int n) {
   simd::ActiveKernels().add(a, b, out, n);
 }
@@ -39,10 +30,6 @@ void TanhForward(const float* x, float* out, int n) {
 
 void TanhBackward(const float* y, const float* dy, float* dx, int n) {
   simd::ActiveKernels().tanh_backward(y, dy, dx, n);
-}
-
-void TanhBackwardAccum(const float* y, const float* dy, float* dx, int n) {
-  simd::ActiveKernels().tanh_backward_accum(y, dy, dx, n);
 }
 
 void FusedGradInput(float dyi, const float* x, const float* w, float* gw,

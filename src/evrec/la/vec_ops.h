@@ -26,15 +26,6 @@ void Axpy(float alpha, const float* x, float* y, int n);
 // <x, y>
 float DotF(const float* x, const float* y, int n);
 
-// One-pass <a,b>, |a|^2, |b|^2 (float accumulation, 8-lane scheme). The
-// float counterpart of util::DotAndNorms for the serving-side scoring
-// paths that stay in float end to end.
-void DotAndNorms(const float* a, const float* b, int n, float* dot,
-                 float* a_sqnorm, float* b_sqnorm);
-
-// x *= alpha
-void Scale(float alpha, float* x, int n);
-
 // out = a + b; out may alias a or b (pure element-wise).
 void Add(const float* a, const float* b, float* out, int n);
 
@@ -46,10 +37,6 @@ void TanhForward(const float* x, float* out, int n);
 // dx[i] = dy[i] * (1 - y[i]^2), where y = tanh(x) (uses the activation,
 // not the pre-activation, so callers keep only the forward output).
 void TanhBackward(const float* y, const float* dy, float* dx, int n);
-
-// Fused tanh backward + accumulate: dx[i] += dy[i] * (1 - y[i]^2). Saves
-// the separate Axpy pass when the destination already accumulates.
-void TanhBackwardAccum(const float* y, const float* dy, float* dx, int n);
 
 // The linear-layer backward row kernel, fused: for one output coordinate
 // with upstream gradient dyi,

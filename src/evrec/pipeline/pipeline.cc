@@ -319,20 +319,6 @@ void TwoStagePipeline::ComputeRepVectors() {
                   << timer.ElapsedSeconds() << "s";
 }
 
-std::vector<serve::ScoredCandidate> TwoStagePipeline::RetrieveTopEvents(
-    int user_id, const std::vector<int>& candidate_event_ids, int k) {
-  const std::vector<float>* query =
-      reps_.Find(store::EntityKind::kUser, user_id);
-  EVREC_CHECK(query != nullptr)
-      << "no vector for user " << user_id
-      << "; call ComputeRepVectors() before RetrieveTopEvents()";
-  serve::RepTableVectorStore table_store(&reps_);
-  return serve::TopK(
-      serve::ScoreCandidates(&table_store, store::EntityKind::kEvent, *query,
-                             candidate_event_ids, pool()),
-      k);
-}
-
 EvalResult TwoStagePipeline::EvaluateFeatureConfig(
     const baseline::FeatureConfig& features,
     gbdt::GbdtModel* trained_combiner) {

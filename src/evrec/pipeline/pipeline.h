@@ -28,7 +28,6 @@
 #include "evrec/model/trainer.h"
 #include "evrec/obs/health.h"
 #include "evrec/pipeline/encoders.h"
-#include "evrec/serve/vector_store.h"
 #include "evrec/store/rep_table.h"
 
 namespace evrec {
@@ -113,13 +112,6 @@ class TwoStagePipeline {
     return reps_.rows(store::EntityKind::kEvent);
   }
 
-  // Stage-1 retrieval, the serving path of the paper's §4: scores the
-  // user's stored representation vector against the candidate events'
-  // stored vectors (batched cosine kernel over the shared worker pool) and
-  // returns the top k by heap partial selection. Requires
-  // ComputeRepVectors().
-  std::vector<serve::ScoredCandidate> RetrieveTopEvents(
-      int user_id, const std::vector<int>& candidate_event_ids, int k);
   // Serving-layer access to the table (see pipeline/serving.h).
   store::RepTable& mutable_rep_table() { return reps_; }
 

@@ -39,22 +39,6 @@ std::string JoinWords(const std::vector<std::string>& v) {
   return out;
 }
 
-std::vector<int> ParseInts(std::string_view field) {
-  std::vector<int> out;
-  for (auto piece : SplitAndTrim(field, " ")) {
-    out.push_back(std::atoi(std::string(piece).c_str()));
-  }
-  return out;
-}
-
-std::vector<double> ParseDoubles(std::string_view field) {
-  std::vector<double> out;
-  for (auto piece : SplitAndTrim(field, " ")) {
-    out.push_back(std::atof(std::string(piece).c_str()));
-  }
-  return out;
-}
-
 std::vector<std::string> ParseWords(std::string_view field) {
   std::vector<std::string> out;
   for (auto piece : SplitAndTrim(field, " ")) {
@@ -80,30 +64,124 @@ class TsvWriter {
   std::ofstream out_;
 };
 
-// Reads a TSV file; returns rows of fields (empty fields preserved).
-StatusOr<std::vector<std::vector<std::string>>> ReadTsv(
-    const std::string& path) {
+// One non-empty line of a TSV file: its 1-based line number and its
+// tab-separated fields (empty fields preserved).
+struct TsvRow {
+  int line = 0;
+  std::vector<std::string> fields;
+};
+
+StatusOr<std::vector<TsvRow>> ReadTsv(const std::string& path) {
   std::ifstream in(path);
   if (!in.good()) return Status::IoError("cannot open " + path);
-  std::vector<std::vector<std::string>> rows;
+  std::vector<TsvRow> rows;
   std::string line;
+  int line_number = 0;
   while (std::getline(in, line)) {
+    ++line_number;
     if (line.empty()) continue;
-    std::vector<std::string> fields;
+    TsvRow row;
+    row.line = line_number;
     size_t start = 0;
     while (true) {
       size_t tab = line.find('\t', start);
       if (tab == std::string::npos) {
-        fields.push_back(line.substr(start));
+        row.fields.push_back(line.substr(start));
         break;
       }
-      fields.push_back(line.substr(start, tab - start));
+      row.fields.push_back(line.substr(start, tab - start));
       start = tab + 1;
     }
-    rows.push_back(std::move(fields));
+    rows.push_back(std::move(row));
   }
   return rows;
 }
+
+// Strict parsing of one TSV row. Every numeric field must be one whole
+// number (ParseNumber), and every id must index an existing row of the
+// table it refers to. The first failure is kept as a Corruption naming
+// the file, the line and the field; getters return zero values after it.
+class RowReader {
+ public:
+  RowReader(const char* file, const TsvRow& row, size_t num_fields)
+      : file_(file), row_(row) {
+    if (row.fields.size() != num_fields) {
+      Fail(StrFormat("expected %zu tab-separated fields, got %zu",
+                     num_fields, row.fields.size()));
+    }
+  }
+
+  bool ok() const { return status_.ok(); }
+  const Status& status() const { return status_; }
+
+  void Fail(const std::string& what) {
+    if (ok()) {
+      status_ = Status::Corruption(
+          StrFormat("%s line %d: %s", file_, row_.line, what.c_str()));
+    }
+  }
+
+  // An integer field; with `size` >= 0 it must be an id in [0, size).
+  int Int(size_t col, const char* name, int size = -1) {
+    return ok() ? ParseInt(row_.fields[col], name, size) : 0;
+  }
+
+  // An integer field that must be >= 0 (days).
+  int NonNegative(size_t col, const char* name) {
+    const int v = Int(col, name);
+    if (v < 0) Fail(StrFormat("%s: %d is negative", name, v));
+    return v;
+  }
+
+  double Double(size_t col, const char* name) {
+    return ok() ? ParseDouble(row_.fields[col], name) : 0.0;
+  }
+
+  // Space-separated lists.
+  std::vector<int> Ints(size_t col, const char* name, int size) {
+    std::vector<int> out;
+    if (!ok()) return out;
+    for (std::string_view piece : SplitAndTrim(row_.fields[col], " ")) {
+      out.push_back(ParseInt(piece, name, size));
+    }
+    return out;
+  }
+
+  std::vector<double> Doubles(size_t col, const char* name) {
+    std::vector<double> out;
+    if (!ok()) return out;
+    for (std::string_view piece : SplitAndTrim(row_.fields[col], " ")) {
+      out.push_back(ParseDouble(piece, name));
+    }
+    return out;
+  }
+
+ private:
+  int ParseInt(std::string_view text, const char* name, int size) {
+    int v = 0;
+    if (!ParseNumber(text, &v)) {
+      Fail(StrFormat("%s: '%.*s' is not an integer", name,
+                     static_cast<int>(text.size()), text.data()));
+    } else if (size >= 0 && (v < 0 || v >= size)) {
+      Fail(StrFormat("%s: id %d is out of range [0, %d)", name, v, size));
+      v = 0;
+    }
+    return v;
+  }
+
+  double ParseDouble(std::string_view text, const char* name) {
+    double v = 0.0;
+    if (!ParseNumber(text, &v)) {
+      Fail(StrFormat("%s: '%.*s' is not a finite number", name,
+                     static_cast<int>(text.size()), text.data()));
+    }
+    return v;
+  }
+
+  const char* file_;
+  const TsvRow& row_;
+  Status status_;
+};
 
 }  // namespace
 
@@ -172,77 +250,99 @@ Status ExportDataset(const SimnetDataset& dataset, const std::string& dir) {
 }
 
 StatusOr<SimnetDataset> ImportDataset(const std::string& dir) {
-  SimnetDataset dataset;
-
+  // Every file is read before any row is parsed, so each id can be checked
+  // against the size of the table it indexes. Rows are numbered by
+  // position: a row's own id must equal it.
   auto users = ReadTsv(dir + "/users.tsv");
   if (!users.ok()) return users.status();
-  for (const auto& row : *users) {
-    if (row.size() != 9) return Status::Corruption("users.tsv field count");
+  auto pages = ReadTsv(dir + "/pages.tsv");
+  if (!pages.ok()) return pages.status();
+  auto events = ReadTsv(dir + "/events.tsv");
+  if (!events.ok()) return events.status();
+  auto impressions = ReadTsv(dir + "/impressions.tsv");
+  if (!impressions.ok()) return impressions.status();
+  auto feedback = ReadTsv(dir + "/feedback.tsv");
+  if (!feedback.ok()) return feedback.status();
+  const int num_users = static_cast<int>(users->size());
+  const int num_pages = static_cast<int>(pages->size());
+  const int num_events = static_cast<int>(events->size());
+  auto check_position = [](RowReader& r, int id, size_t position) {
+    if (r.ok() && id != static_cast<int>(position)) {
+      r.Fail(StrFormat("id %d is out of sequence, expected %zu", id,
+                       position));
+    }
+  };
+
+  SimnetDataset dataset;
+  for (const TsvRow& row : *users) {
+    RowReader r("users.tsv", row, 9);
     User u;
-    u.id = std::atoi(row[0].c_str());
-    u.city = std::atoi(row[1].c_str());
-    u.age_bucket = std::atoi(row[2].c_str());
-    u.gender = std::atoi(row[3].c_str());
-    u.activity_bias = std::atof(row[4].c_str());
-    u.interests = ParseDoubles(row[5]);
-    u.friends = ParseInts(row[6]);
-    u.pages = ParseInts(row[7]);
-    u.profile_words = ParseWords(row[8]);
+    u.id = r.Int(0, "id");
+    check_position(r, u.id, dataset.world.users.size());
+    u.city = r.Int(1, "city");
+    u.age_bucket = r.Int(2, "age_bucket");
+    u.gender = r.Int(3, "gender");
+    u.activity_bias = r.Double(4, "activity_bias");
+    u.interests = r.Doubles(5, "interests");
+    u.friends = r.Ints(6, "friends", num_users);
+    u.pages = r.Ints(7, "pages", num_pages);
+    if (!r.ok()) return r.status();
+    u.profile_words = ParseWords(row.fields[8]);
     dataset.world.users.push_back(std::move(u));
   }
 
-  auto pages = ReadTsv(dir + "/pages.tsv");
-  if (!pages.ok()) return pages.status();
-  for (const auto& row : *pages) {
-    if (row.size() != 3) return Status::Corruption("pages.tsv field count");
+  for (const TsvRow& row : *pages) {
+    RowReader r("pages.tsv", row, 3);
     Page p;
-    p.id = std::atoi(row[0].c_str());
-    p.topic = std::atoi(row[1].c_str());
-    p.title_words = ParseWords(row[2]);
+    p.id = r.Int(0, "id");
+    check_position(r, p.id, dataset.world.pages.size());
+    p.topic = r.Int(1, "topic");
+    if (!r.ok()) return r.status();
+    p.title_words = ParseWords(row.fields[2]);
     dataset.world.pages.push_back(std::move(p));
   }
 
-  auto events = ReadTsv(dir + "/events.tsv");
-  if (!events.ok()) return events.status();
-  for (const auto& row : *events) {
-    if (row.size() != 12) {
-      return Status::Corruption("events.tsv field count");
-    }
+  for (const TsvRow& row : *events) {
+    RowReader r("events.tsv", row, 12);
     Event e;
-    e.id = std::atoi(row[0].c_str());
-    e.host_user = std::atoi(row[1].c_str());
-    e.city = std::atoi(row[2].c_str());
-    e.x = std::atof(row[3].c_str());
-    e.y = std::atof(row[4].c_str());
-    e.category = std::atoi(row[5].c_str());
-    e.category_name = row[6];
-    e.create_day = std::atof(row[7].c_str());
-    e.start_day = std::atof(row[8].c_str());
-    e.topics = ParseDoubles(row[9]);
-    e.title_words = ParseWords(row[10]);
-    e.body_words = ParseWords(row[11]);
+    e.id = r.Int(0, "id");
+    check_position(r, e.id, dataset.events.size());
+    e.host_user = r.Int(1, "host", num_users);
+    e.city = r.Int(2, "city");
+    e.x = r.Double(3, "x");
+    e.y = r.Double(4, "y");
+    e.category = r.Int(5, "category");
+    e.create_day = r.Double(7, "create_day");
+    e.start_day = r.Double(8, "start_day");
+    e.topics = r.Doubles(9, "topics");
+    if (!r.ok()) return r.status();
+    e.category_name = row.fields[6];
+    e.title_words = ParseWords(row.fields[10]);
+    e.body_words = ParseWords(row.fields[11]);
     dataset.events.push_back(std::move(e));
   }
 
-  auto impressions = ReadTsv(dir + "/impressions.tsv");
-  if (!impressions.ok()) return impressions.status();
-  for (const auto& row : *impressions) {
-    if (row.size() != 5) {
-      return Status::Corruption("impressions.tsv field count");
-    }
+  for (const TsvRow& row : *impressions) {
+    RowReader r("impressions.tsv", row, 5);
     Impression imp;
-    imp.user = std::atoi(row[1].c_str());
-    imp.event = std::atoi(row[2].c_str());
-    imp.day = std::atoi(row[3].c_str());
-    imp.label = row[4] == "1" ? 1.0f : 0.0f;
-    if (row[0] == "rep_train") {
+    imp.user = r.Int(1, "user", num_users);
+    imp.event = r.Int(2, "event", num_events);
+    imp.day = r.NonNegative(3, "day");
+    if (r.ok() && row.fields[4] != "0" && row.fields[4] != "1") {
+      r.Fail("label: '" + row.fields[4] + "' is not 0 or 1");
+    }
+    if (!r.ok()) return r.status();
+    imp.label = row.fields[4] == "1" ? 1.0f : 0.0f;
+    const std::string& split = row.fields[0];
+    if (split == "rep_train") {
       dataset.rep_train.push_back(imp);
-    } else if (row[0] == "combiner_train") {
+    } else if (split == "combiner_train") {
       dataset.combiner_train.push_back(imp);
-    } else if (row[0] == "eval") {
+    } else if (split == "eval") {
       dataset.eval.push_back(imp);
     } else {
-      return Status::Corruption("impressions.tsv unknown split " + row[0]);
+      r.Fail("unknown split '" + split + "'");
+      return r.status();
     }
   }
 
@@ -250,31 +350,26 @@ StatusOr<SimnetDataset> ImportDataset(const std::string& dir) {
   dataset.feedback.user_interested.resize(dataset.world.users.size());
   dataset.feedback.event_attendees.resize(dataset.events.size());
   dataset.feedback.event_interested.resize(dataset.events.size());
-  auto feedback = ReadTsv(dir + "/feedback.tsv");
-  if (!feedback.ok()) return feedback.status();
-  for (const auto& row : *feedback) {
-    if (row.size() != 4) {
-      return Status::Corruption("feedback.tsv field count");
-    }
-    int user = std::atoi(row[1].c_str());
-    int event = std::atoi(row[2].c_str());
-    int day = std::atoi(row[3].c_str());
-    if (user < 0 || user >= static_cast<int>(dataset.world.users.size()) ||
-        event < 0 || event >= static_cast<int>(dataset.events.size())) {
-      return Status::Corruption("feedback.tsv id out of range");
-    }
-    if (row[0] == "join") {
+  for (const TsvRow& row : *feedback) {
+    RowReader r("feedback.tsv", row, 4);
+    const int user = r.Int(1, "user", num_users);
+    const int event = r.Int(2, "event", num_events);
+    const int day = r.NonNegative(3, "day");
+    if (!r.ok()) return r.status();
+    const std::string& kind = row.fields[0];
+    if (kind == "join") {
       dataset.feedback.user_joins[static_cast<size_t>(user)].push_back(
           {event, day});
       dataset.feedback.event_attendees[static_cast<size_t>(event)].push_back(
           {user, day});
-    } else if (row[0] == "interested") {
+    } else if (kind == "interested") {
       dataset.feedback.user_interested[static_cast<size_t>(user)].push_back(
           {event, day});
       dataset.feedback.event_interested[static_cast<size_t>(event)]
           .push_back({user, day});
     } else {
-      return Status::Corruption("feedback.tsv unknown kind " + row[0]);
+      r.Fail("unknown kind '" + kind + "'");
+      return r.status();
     }
   }
 

@@ -44,6 +44,31 @@ class RepTable {
   std::vector<std::vector<float>> rows_[2];
 };
 
+// One exact nearest-neighbour result: a row id and its cosine similarity
+// to the query.
+struct Neighbor {
+  int id = 0;
+  double score = 0.0;
+};
+
+// Exact top-k similarity search over id-indexed rows (RepTable::rows, or
+// any vectors indexed by id): every candidate row is scored against
+// `query` with CosineSimilarity (util/math_util.h, double), and the k
+// best are returned by descending score, ties broken by ascending id.
+// Empty rows (missing slots) and ids outside `rows` are skipped; a
+// non-empty row must have the query's length. k <= 0 returns nothing,
+// and a k past the number of scored rows returns them all.
+std::vector<Neighbor> NearestByCosine(
+    const std::vector<float>& query,
+    const std::vector<std::vector<float>>& rows,
+    const std::vector<int>& candidates, int k);
+
+// Same over every row except `exclude` (-1 excludes nothing), e.g. the
+// seed of a related-event query.
+std::vector<Neighbor> NearestByCosine(
+    const std::vector<float>& query,
+    const std::vector<std::vector<float>>& rows, int exclude, int k);
+
 }  // namespace store
 }  // namespace evrec
 

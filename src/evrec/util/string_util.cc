@@ -1,8 +1,11 @@
 #include "evrec/util/string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <system_error>
 
 namespace evrec {
 
@@ -60,6 +63,39 @@ std::string StrFormat(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
+}
+
+namespace {
+
+template <typename T>
+bool ParseWhole(std::string_view text, T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = value;
+  return true;
+}
+
+}  // namespace
+
+bool ParseNumber(std::string_view text, int* out) {
+  return ParseWhole(text, out);
+}
+
+bool ParseNumber(std::string_view text, int64_t* out) {
+  return ParseWhole(text, out);
+}
+
+bool ParseNumber(std::string_view text, uint64_t* out) {
+  return ParseWhole(text, out);
+}
+
+bool ParseNumber(std::string_view text, double* out) {
+  double value = 0.0;
+  if (!ParseWhole(text, &value) || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
 }
 
 bool StartsWith(std::string_view text, std::string_view prefix) {

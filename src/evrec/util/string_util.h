@@ -4,6 +4,7 @@
 #ifndef EVREC_UTIL_STRING_UTIL_H_
 #define EVREC_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +28,16 @@ std::string Join(const std::vector<std::string>& pieces,
 // printf-style formatting into std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+// Strict whole-string number parsing for flags and data fields: true only
+// when all of `text` is one base-10 number that fits `*out` (no
+// whitespace, no trailing bytes, no leading '+', no overflow; unsigned
+// rejects '-'; a double must be finite). On false, `*out` is unchanged.
+// Unlike atoi/atof, "abc", "12x" and "" fail instead of reading as 0.
+bool ParseNumber(std::string_view text, int* out);
+bool ParseNumber(std::string_view text, int64_t* out);
+bool ParseNumber(std::string_view text, uint64_t* out);
+bool ParseNumber(std::string_view text, double* out);
 
 // True if `text` starts with / ends with the given affix.
 bool StartsWith(std::string_view text, std::string_view prefix);

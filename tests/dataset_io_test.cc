@@ -5,11 +5,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <sys/stat.h>
+#include <vector>
 
 #include "evrec/baseline/feature_index.h"
 #include "evrec/simnet/dataset_io.h"
 #include "evrec/util/logging.h"
+#include "evrec/util/string_util.h"
 
 namespace evrec {
 namespace simnet {
@@ -121,6 +124,118 @@ TEST_F(DatasetIoTest, ColdStartFractionPreserved) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_NEAR(ColdStartEventFraction(*loaded),
               ColdStartEventFraction(*dataset_), 1e-12);
+}
+
+// Copies the fixture's five files to `dir`, replacing field `field` of
+// the first row of `file` whose first field is `first` (any row when
+// empty) with `value`. Returns that row's 1-based line number.
+int CopyWithEdit(const std::string& from, const std::string& dir,
+                 const std::string& file, const std::string& first,
+                 size_t field, const std::string& value) {
+  ::mkdir(dir.c_str(), 0755);
+  int edited = 0;
+  for (const char* name : {"users.tsv", "pages.tsv", "events.tsv",
+                           "impressions.tsv", "feedback.tsv"}) {
+    std::ifstream in(from + "/" + name);
+    std::ofstream out(dir + "/" + name);
+    std::string line;
+    int number = 0;
+    while (std::getline(in, line)) {
+      ++number;
+      if (edited == 0 && name == file) {
+        std::vector<std::string> fields(1);
+        for (char ch : line) {
+          if (ch == '\t') {
+            fields.emplace_back();
+          } else {
+            fields.back() += ch;
+          }
+        }
+        if (first.empty() || fields[0] == first) {
+          fields[field] = value;
+          line = Join(fields, "\t");
+          edited = number;
+        }
+      }
+      out << line << '\n';
+    }
+  }
+  return edited;
+}
+
+void RemoveDataset(const std::string& dir) {
+  for (const char* name : {"users.tsv", "pages.tsv", "events.tsv",
+                           "impressions.tsv", "feedback.tsv"}) {
+    std::remove((dir + "/" + name).c_str());
+  }
+}
+
+// The planted cases: a friend id of 5,000,000, an eval impression whose
+// user reads `garbage`, and an impression user of 99999 (which eval would
+// index past the user table). Each must fail import with a Corruption
+// that names the file and the line.
+TEST_F(DatasetIoTest, PlantedBadIdsAreCorruptionNamingFileAndLine) {
+  struct Case {
+    const char* file;
+    const char* first;
+    size_t field;
+    const char* value;
+    const char* expect;
+  };
+  const Case cases[] = {
+      {"users.tsv", "", 6, "5000000", "friends: id 5000000 is out of range"},
+      {"impressions.tsv", "eval", 1, "garbage",
+       "user: 'garbage' is not an integer"},
+      {"impressions.tsv", "eval", 1, "99999",
+       "user: id 99999 is out of range"},
+  };
+  const std::string dir = testing::TempDir() + "/evrec_dataset_io_planted";
+  for (const Case& c : cases) {
+    const int line = CopyWithEdit(*dir_, dir, c.file, c.first, c.field,
+                                  c.value);
+    ASSERT_GT(line, 0) << c.file;
+    auto loaded = ImportDataset(dir);
+    ASSERT_FALSE(loaded.ok()) << c.file << " " << c.value;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    const std::string where = StrFormat("%s line %d: ", c.file, line);
+    EXPECT_NE(loaded.status().message().find(where + c.expect),
+              std::string::npos)
+        << loaded.status().ToString() << " (want '" << where << c.expect
+        << "')";
+  }
+  RemoveDataset(dir);
+}
+
+TEST_F(DatasetIoTest, MalformedNumbersAndLabelsAreCorruption) {
+  struct Case {
+    const char* file;
+    size_t field;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"users.tsv", 0, "7"},          // id out of sequence
+      {"users.tsv", 4, "0.5x"},       // trailing junk
+      {"users.tsv", 5, "0.1 nan"},    // non-finite list element
+      {"users.tsv", 7, "-1"},         // page id below range
+      {"pages.tsv", 1, ""},           // empty number
+      {"events.tsv", 1, "200"},       // host == num_users
+      {"events.tsv", 7, "1e999"},     // overflow
+      {"impressions.tsv", 2, "160"},  // event == num_events
+      {"impressions.tsv", 3, "-2"},   // negative day
+      {"impressions.tsv", 4, "yes"},  // label
+      {"feedback.tsv", 3, "3.5"},     // fractional day
+  };
+  const std::string dir = testing::TempDir() + "/evrec_dataset_io_malformed";
+  for (const Case& c : cases) {
+    ASSERT_GT(CopyWithEdit(*dir_, dir, c.file, "", c.field, c.value), 0);
+    auto loaded = ImportDataset(dir);
+    ASSERT_FALSE(loaded.ok()) << c.file << " field " << c.field << " = '"
+                              << c.value << "'";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(loaded.status().message().find(c.file), std::string::npos)
+        << loaded.status().ToString();
+  }
+  RemoveDataset(dir);
 }
 
 TEST(DatasetIoErrorTest, MissingDirectoryIsIoError) {

@@ -1,13 +1,11 @@
 // Tests for the extension modules: pairwise ranking trainer (§3.2.1's
 // alternative loss), weighted multi-feedback pairs (the paper's future-work
-// direction), logistic-regression combiner (§5.2 remark), and the IVF ANN
-// index.
+// direction) and the logistic-regression combiner (§5.2 remark).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "evrec/ann/ivf_index.h"
 #include "evrec/eval/metrics.h"
 #include "evrec/gbdt/gbdt.h"
 #include "evrec/gbdt/logistic_regression.h"
@@ -221,88 +219,6 @@ TEST(LogisticRegressionTest, PriorOnlyForConstantFeatures) {
   lr.Train(x, y, gbdt::LogisticRegressionConfig{});
   float row[1] = {1.0f};
   EXPECT_NEAR(lr.PredictProbability(row), 0.3, 0.03);
-}
-
-// ---------- IVF index ----------
-
-std::vector<std::vector<float>> ClusteredVectors(int clusters,
-                                                 int per_cluster, int dim,
-                                                 Rng& rng) {
-  std::vector<std::vector<float>> out;
-  std::vector<std::vector<float>> centers;
-  for (int c = 0; c < clusters; ++c) {
-    std::vector<float> center(static_cast<size_t>(dim));
-    for (auto& v : center) v = static_cast<float>(rng.Normal());
-    centers.push_back(center);
-  }
-  for (int c = 0; c < clusters; ++c) {
-    for (int i = 0; i < per_cluster; ++i) {
-      std::vector<float> v = centers[static_cast<size_t>(c)];
-      for (auto& x : v) x += static_cast<float>(rng.Normal(0.0, 0.1));
-      out.push_back(std::move(v));
-    }
-  }
-  return out;
-}
-
-TEST(IvfIndexTest, ExactSearchReturnsSelfCluster) {
-  Rng rng(61);
-  auto vectors = ClusteredVectors(5, 40, 16, rng);
-  ann::IvfIndex index;
-  ann::IvfConfig cfg;
-  cfg.num_lists = 5;
-  index.Build(vectors, cfg);
-  EXPECT_EQ(index.size(), 200);
-  // Query with a vector from cluster 2: exact top-10 should be cluster 2.
-  auto results = index.SearchExact(vectors[2 * 40 + 3], 10, 2 * 40 + 3);
-  ASSERT_EQ(results.size(), 10u);
-  for (const auto& r : results) {
-    EXPECT_GE(r.id, 2 * 40);
-    EXPECT_LT(r.id, 3 * 40);
-    EXPECT_GT(r.score, 0.8);
-  }
-  // Scores sorted descending.
-  for (size_t i = 1; i < results.size(); ++i) {
-    EXPECT_GE(results[i - 1].score, results[i].score);
-  }
-}
-
-TEST(IvfIndexTest, ApproxRecallHighOnClusteredData) {
-  Rng rng(62);
-  auto vectors = ClusteredVectors(8, 50, 16, rng);
-  ann::IvfIndex index;
-  ann::IvfConfig cfg;
-  cfg.num_lists = 8;
-  index.Build(vectors, cfg);
-  double recall = 0.0;
-  for (int q = 0; q < 40; ++q) {
-    recall += index.RecallAtK(vectors[static_cast<size_t>(q * 10)], 10,
-                              /*nprobe=*/2);
-  }
-  EXPECT_GT(recall / 40.0, 0.9);
-}
-
-TEST(IvfIndexTest, MoreProbesNeverHurtRecall) {
-  Rng rng(63);
-  auto vectors = ClusteredVectors(6, 30, 8, rng);
-  ann::IvfIndex index;
-  ann::IvfConfig cfg;
-  cfg.num_lists = 6;
-  index.Build(vectors, cfg);
-  const auto& q = vectors[7];
-  double r1 = index.RecallAtK(q, 10, 1);
-  double r_all = index.RecallAtK(q, 10, 6);
-  EXPECT_LE(r1, r_all + 1e-12);
-  EXPECT_NEAR(r_all, 1.0, 1e-12);  // probing every list == exact
-}
-
-TEST(IvfIndexTest, ExcludeFiltersSelf) {
-  Rng rng(64);
-  auto vectors = ClusteredVectors(2, 20, 8, rng);
-  ann::IvfIndex index;
-  index.Build(vectors, ann::IvfConfig{});
-  auto results = index.Search(vectors[5], 5, 16, /*exclude=*/5);
-  for (const auto& r : results) EXPECT_NE(r.id, 5);
 }
 
 }  // namespace

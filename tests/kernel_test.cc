@@ -1,7 +1,6 @@
 // Tests for the SIMD kernel layer (la/simd/): bit-identical parity of
 // every tier against the scalar reference over an exhaustive size sweep,
-// dispatch/override behaviour, the flat blocked vector store, and the
-// IVF-vs-exact scoring agreement the serving stack depends on.
+// and dispatch/override behaviour.
 
 #include <cmath>
 #include <cstdint>
@@ -11,20 +10,15 @@
 
 #include <gtest/gtest.h>
 
-#include "evrec/ann/ivf_index.h"
-#include "evrec/la/flat_block.h"
 #include "evrec/la/matrix.h"
 #include "evrec/la/simd/dispatch.h"
 #include "evrec/la/simd/kernels.h"
 #include "evrec/la/vec_ops.h"
-#include "evrec/serve/vector_store.h"
-#include "evrec/store/rep_table.h"
 #include "evrec/util/rng.h"
 
 namespace evrec {
 namespace {
 
-using la::simd::ActiveKernels;
 using la::simd::ActiveSimdLevel;
 using la::simd::KernelTable;
 using la::simd::SetSimdLevelForTesting;
@@ -82,7 +76,7 @@ void ExpectBitEqualScalar(float a, float b, const std::string& what) {
   ASSERT_EQ(ua, ub) << what << ": " << a << " vs " << b;
 }
 
-TEST(KernelParityTest, DotAndDotAndNormsBitIdentical) {
+TEST(KernelParityTest, DotBitIdentical) {
   const KernelTable* ref = la::simd::ScalarTable();
   Rng rng(101);
   for (const KernelTable* t : AvailableTables()) {
@@ -94,12 +88,6 @@ TEST(KernelParityTest, DotAndDotAndNormsBitIdentical) {
       ExpectBitEqualScalar(t->dot(x.data(), y.data(), n),
                            ref->dot(x.data(), y.data(), n),
                            "dot n=" + std::to_string(n));
-      float d1, a1, b1, d2, a2, b2;
-      t->dot_and_norms(x.data(), y.data(), n, &d1, &a1, &b1);
-      ref->dot_and_norms(x.data(), y.data(), n, &d2, &a2, &b2);
-      ExpectBitEqualScalar(d1, d2, "dot_and_norms.dot n=" + std::to_string(n));
-      ExpectBitEqualScalar(a1, a2, "dot_and_norms.a n=" + std::to_string(n));
-      ExpectBitEqualScalar(b1, b2, "dot_and_norms.b n=" + std::to_string(n));
     }
   }
 }
@@ -123,11 +111,6 @@ TEST(KernelParityTest, ElementwiseKernelsBitIdentical) {
       ref->axpy(alpha, x.data(), y2.data(), n);
       ExpectBitEqual(y1.data(), y2.data(), n, "axpy n=" + std::to_string(n));
 
-      std::vector<float> s1 = x, s2 = x;
-      t->scale(alpha, s1.data(), n);
-      ref->scale(alpha, s2.data(), n);
-      ExpectBitEqual(s1.data(), s2.data(), n, "scale n=" + std::to_string(n));
-
       std::vector<float> o1(static_cast<size_t>(n) + 1),
           o2(static_cast<size_t>(n) + 1);
       t->add(a.data(), b.data(), o1.data(), n);
@@ -143,11 +126,10 @@ TEST(KernelParityTest, TanhKernelsBitIdentical) {
   for (const KernelTable* t : AvailableTables()) {
     for (int n = 0; n <= kMaxN; ++n) {
       std::vector<float> x(static_cast<size_t>(n) + 1),
-          dy(static_cast<size_t>(n) + 1), dx0(static_cast<size_t>(n) + 1);
+          dy(static_cast<size_t>(n) + 1);
       // Wide range so the sweep crosses the clamp on both sides.
       FillUniform(rng, x.data(), n, -10.0, 10.0);
       FillUniform(rng, dy.data(), n);
-      FillUniform(rng, dx0.data(), n);
 
       std::vector<float> f1(static_cast<size_t>(n) + 1),
           f2(static_cast<size_t>(n) + 1);
@@ -162,12 +144,6 @@ TEST(KernelParityTest, TanhKernelsBitIdentical) {
       ref->tanh_backward(f2.data(), dy.data(), d2.data(), n);
       ExpectBitEqual(d1.data(), d2.data(), n,
                      "tanh_backward n=" + std::to_string(n));
-
-      std::vector<float> acc1 = dx0, acc2 = dx0;
-      t->tanh_backward_accum(f2.data(), dy.data(), acc1.data(), n);
-      ref->tanh_backward_accum(f2.data(), dy.data(), acc2.data(), n);
-      ExpectBitEqual(acc1.data(), acc2.data(), n,
-                     "tanh_backward_accum n=" + std::to_string(n));
     }
   }
 }
@@ -238,31 +214,6 @@ TEST(KernelParityTest, MatrixKernelsBitIdentical) {
                        "add_outer " + std::to_string(rows) + "x" +
                            std::to_string(cols));
       }
-    }
-  }
-}
-
-TEST(KernelParityTest, Block8KernelsBitIdentical) {
-  const KernelTable* ref = la::simd::ScalarTable();
-  Rng rng(106);
-  for (const KernelTable* t : AvailableTables()) {
-    for (int dim = 0; dim <= kMaxN; ++dim) {
-      std::vector<float> q(static_cast<size_t>(dim) + 1);
-      std::vector<float> block(static_cast<size_t>(dim) * 8 + 1);
-      FillUniform(rng, q.data(), dim);
-      FillUniform(rng, block.data(), dim * 8);
-
-      float d1[8], d2[8], s1[8], s2[8];
-      t->dot_block8(q.data(), block.data(), dim, d1);
-      ref->dot_block8(q.data(), block.data(), dim, d2);
-      ExpectBitEqual(d1, d2, 8, "dot_block8 dim=" + std::to_string(dim));
-
-      t->dot_sqn_block8(q.data(), block.data(), dim, d1, s1);
-      ref->dot_sqn_block8(q.data(), block.data(), dim, d2, s2);
-      ExpectBitEqual(d1, d2, 8, "dot_sqn_block8.dots dim=" +
-                                    std::to_string(dim));
-      ExpectBitEqual(s1, s2, 8, "dot_sqn_block8.sqns dim=" +
-                                    std::to_string(dim));
     }
   }
 }
@@ -353,219 +304,6 @@ TEST(DispatchTest, PublicEntryPointsFollowActiveTier) {
     m.Gemv(x.data(), gemv_out.data());
     ExpectBitEqual(gemv_out.data(), gemv_ref.data(), 5,
                    "Matrix::Gemv @" + name);
-  }
-}
-
-TEST(FlatVectorBlockTest, AlignmentLayoutAndPadding) {
-  la::FlatVectorBlock block(5);
-  Rng rng(108);
-  std::vector<std::vector<float>> vecs;
-  for (int i = 0; i < 11; ++i) {
-    std::vector<float> v(5);
-    FillUniform(rng, v.data(), 5);
-    vecs.push_back(v);
-    EXPECT_EQ(i, block.Append(v));
-  }
-  EXPECT_EQ(11, block.size());
-  EXPECT_EQ(2, block.num_blocks());
-  // The allocation is 64-byte aligned; every block base is at least
-  // 32-byte aligned (stride dim*32 bytes).
-  EXPECT_EQ(0u, reinterpret_cast<uintptr_t>(block.BlockData(0)) % 64);
-  for (int b = 0; b < block.num_blocks(); ++b) {
-    EXPECT_EQ(0u, reinterpret_cast<uintptr_t>(block.BlockData(b)) % 32)
-        << "block " << b;
-  }
-  // Round-trip and interleaved layout.
-  for (int i = 0; i < 11; ++i) {
-    EXPECT_EQ(vecs[static_cast<size_t>(i)], block.Get(i)) << "slot " << i;
-  }
-  const float* b1 = block.BlockData(1);
-  for (int d = 0; d < 5; ++d) {
-    EXPECT_EQ(vecs[9][static_cast<size_t>(d)], b1[d * 8 + 1]);
-    // Padding lanes 3..7 of the last block are zero at every dimension.
-    for (int l = 3; l < 8; ++l) {
-      EXPECT_EQ(0.0f, b1[d * 8 + l]) << "d=" << d << " lane=" << l;
-    }
-  }
-}
-
-TEST(FlatVectorBlockTest, ResizeGrowsZeroedAndShrinkRezeroes) {
-  la::FlatVectorBlock block(3);
-  block.Resize(20);
-  EXPECT_EQ(20, block.size());
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(std::vector<float>(3, 0.0f), block.Get(i)) << i;
-  }
-  std::vector<float> v = {1.0f, 2.0f, 3.0f};
-  for (int i = 0; i < 20; ++i) block.Set(i, v.data());
-  block.Resize(9);
-  EXPECT_EQ(9, block.size());
-  EXPECT_EQ(2, block.num_blocks());
-  // Slots 9..15 of block 1 must be re-zeroed padding.
-  const float* b1 = block.BlockData(1);
-  for (int d = 0; d < 3; ++d) {
-    EXPECT_EQ(v[static_cast<size_t>(d)], b1[d * 8 + 0]);
-    for (int l = 1; l < 8; ++l) {
-      EXPECT_EQ(0.0f, b1[d * 8 + l]) << "d=" << d << " lane=" << l;
-    }
-  }
-  // Growing back exposes zeros, not the stale values.
-  block.Resize(12);
-  EXPECT_EQ(std::vector<float>(3, 0.0f), block.Get(10));
-}
-
-TEST(FlatVectorBlockTest, DotAndCosineMatchSequentialReference) {
-  const int dim = 19;
-  la::FlatVectorBlock block(dim);
-  Rng rng(109);
-  std::vector<std::vector<float>> vecs;
-  std::vector<float> q(dim);
-  FillUniform(rng, q.data(), dim);
-  for (int i = 0; i < 13; ++i) {
-    std::vector<float> v(dim);
-    FillUniform(rng, v.data(), dim);
-    vecs.push_back(v);
-    block.Append(v);
-  }
-  std::vector<float> dots(13), cosines(13);
-  block.DotAll(q.data(), dots.data());
-  block.CosineAll(q.data(), cosines.data());
-  for (int i = 0; i < 13; ++i) {
-    // dot_block8 accumulates each lane sequentially over d — exactly a
-    // plain ordered sum — so the reference is bit-exact, not "near".
-    float want = 0.0f, sqn = 0.0f;
-    for (int d = 0; d < dim; ++d) {
-      want += q[static_cast<size_t>(d)] * vecs[static_cast<size_t>(i)]
-                                              [static_cast<size_t>(d)];
-      sqn += vecs[static_cast<size_t>(i)][static_cast<size_t>(d)] *
-             vecs[static_cast<size_t>(i)][static_cast<size_t>(d)];
-    }
-    ExpectBitEqualScalar(dots[static_cast<size_t>(i)], want,
-                         "DotAll slot " + std::to_string(i));
-    float q2 = ActiveKernels().dot(q.data(), q.data(), dim);
-    float want_cos = want / std::sqrt(q2 * sqn);
-    ExpectBitEqualScalar(cosines[static_cast<size_t>(i)], want_cos,
-                         "CosineAll slot " + std::to_string(i));
-  }
-}
-
-TEST(FlatVectorBlockTest, ZeroVectorsScoreZero) {
-  la::FlatVectorBlock block(4);
-  std::vector<float> zero(4, 0.0f), unit = {1.0f, 0.0f, 0.0f, 0.0f};
-  block.Append(zero);
-  block.Append(unit);
-  std::vector<float> scores(2, -1.0f);
-  block.CosineAll(unit.data(), scores.data());
-  EXPECT_EQ(0.0f, scores[0]);
-  EXPECT_EQ(1.0f, scores[1]);
-  // Degenerate query: everything scores 0.
-  block.CosineAll(zero.data(), scores.data());
-  EXPECT_EQ(0.0f, scores[0]);
-  EXPECT_EQ(0.0f, scores[1]);
-}
-
-// Regression for the float-score unification (satellite: IVF and the
-// exact serve:: scorer must agree): both paths score the same corpus for
-// the same queries, and the returned rankings must match.
-TEST(IvfExactAgreementTest, SearchExactMatchesScoreCandidates) {
-  const int dim = 16;
-  const int num_vectors = 60;
-  Rng rng(110);
-  std::vector<std::vector<float>> vectors;
-  for (int i = 0; i < num_vectors; ++i) {
-    // Three well-separated direction clusters plus noise, so the top-k
-    // ordering has real margins and both paths must rank identically.
-    std::vector<float> v(dim);
-    int c = i % 3;
-    for (int d = 0; d < dim; ++d) {
-      double base = (d % 3 == c) ? 2.0 : 0.1;
-      v[static_cast<size_t>(d)] =
-          static_cast<float>(base + rng.Uniform(-0.05, 0.05));
-    }
-    vectors.push_back(v);
-  }
-
-  ann::IvfIndex index;
-  ann::IvfConfig config;
-  config.num_lists = 6;
-  index.Build(vectors, config);
-  ASSERT_TRUE(index.built());
-  ASSERT_EQ(num_vectors, index.size());
-
-  store::RepTable table;
-  serve::RepTableVectorStore vstore(&table);
-  std::vector<int> ids;
-  for (int i = 0; i < num_vectors; ++i) {
-    vstore.Put(store::EntityKind::kEvent, i, vectors[static_cast<size_t>(i)]);
-    ids.push_back(i);
-  }
-
-  for (int qi = 0; qi < 5; ++qi) {
-    std::vector<float> q(dim);
-    int c = qi % 3;
-    for (int d = 0; d < dim; ++d) {
-      q[static_cast<size_t>(d)] = static_cast<float>(
-          ((d % 3 == c) ? 2.0 : 0.1) + rng.Uniform(-0.05, 0.05));
-    }
-    const int k = 10;
-    std::vector<ann::SearchResult> ivf = index.SearchExact(q, k);
-    std::vector<serve::ScoredCandidate> exact = serve::TopK(
-        serve::ScoreCandidates(&vstore, store::EntityKind::kEvent, q, ids,
-                               nullptr),
-        k);
-    ASSERT_EQ(ivf.size(), exact.size());
-    for (size_t i = 0; i < ivf.size(); ++i) {
-      EXPECT_EQ(exact[i].id, ivf[i].id) << "query " << qi << " rank " << i;
-      // IVF scores dot-on-normalized copies; serve scores cosine-on-raw.
-      // Same quantity through different roundings: near, not bit-equal.
-      EXPECT_NEAR(exact[i].score, ivf[i].score, 1e-4f)
-          << "query " << qi << " rank " << i;
-    }
-    // Full-probe approximate search IS the exact search (bit-identical).
-    std::vector<ann::SearchResult> full =
-        index.Search(q, k, index.num_lists());
-    ASSERT_EQ(ivf.size(), full.size());
-    for (size_t i = 0; i < ivf.size(); ++i) {
-      EXPECT_EQ(ivf[i].id, full[i].id);
-      ExpectBitEqualScalar(ivf[i].score, full[i].score,
-                           "full-probe rank " + std::to_string(i));
-    }
-  }
-}
-
-// The whole point of the tier contract: ScoreCandidates returns the same
-// bits no matter which tier runs.
-TEST(IvfExactAgreementTest, ScoreCandidatesBitIdenticalAcrossTiers) {
-  TierGuard guard;
-  const int dim = 24;
-  Rng rng(111);
-  store::RepTable table;
-  serve::RepTableVectorStore vstore(&table);
-  std::vector<int> ids;
-  for (int i = 0; i < 21; ++i) {
-    std::vector<float> v(dim);
-    FillUniform(rng, v.data(), dim);
-    vstore.Put(store::EntityKind::kEvent, i, v);
-    ids.push_back(i);
-  }
-  std::vector<float> q(dim);
-  FillUniform(rng, q.data(), dim);
-
-  SetSimdLevelForTesting(SimdLevel::kScalar);
-  std::vector<serve::ScoredCandidate> ref = serve::ScoreCandidates(
-      &vstore, store::EntityKind::kEvent, q, ids, nullptr);
-  for (SimdLevel level : AvailableLevels()) {
-    SetSimdLevelForTesting(level);
-    std::vector<serve::ScoredCandidate> got = serve::ScoreCandidates(
-        &vstore, store::EntityKind::kEvent, q, ids, nullptr);
-    ASSERT_EQ(ref.size(), got.size());
-    for (size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(ref[i].id, got[i].id);
-      EXPECT_EQ(ref[i].found, got[i].found);
-      ExpectBitEqualScalar(got[i].score, ref[i].score,
-                           std::string("candidate ") + std::to_string(i) +
-                               " @" + SimdLevelName(level));
-    }
   }
 }
 

@@ -28,11 +28,8 @@ TEST(VecOpsTest, DotAndNorm) {
   EXPECT_FLOAT_EQ(Norm(x, 3), 5.0f);
 }
 
-TEST(VecOpsTest, ScaleAddZero) {
-  float x[2] = {2, -4};
-  Scale(0.5f, x, 2);
-  EXPECT_FLOAT_EQ(x[0], 1);
-  EXPECT_FLOAT_EQ(x[1], -2);
+TEST(VecOpsTest, AddZero) {
+  float x[2] = {1, -2};
   float a[2] = {1, 1}, out[2];
   Add(a, x, out, 2);
   EXPECT_FLOAT_EQ(out[0], 2);

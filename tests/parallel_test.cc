@@ -1,8 +1,7 @@
 // Tests for the data-parallel training engine: ThreadPool/ParallelFor
 // semantics, the trainer's thread-count determinism contract (bit-identical
 // parameters and losses for any worker count), the partial-batch step-size
-// regression, the parallel representation precompute, and parallel
-// candidate scoring in the serving layer.
+// regression and the parallel representation precompute.
 
 #include <gtest/gtest.h>
 
@@ -20,8 +19,6 @@
 #include "evrec/model/joint_model.h"
 #include "evrec/model/trainer.h"
 #include "evrec/pipeline/pipeline.h"
-#include "evrec/serve/vector_store.h"
-#include "evrec/store/rep_table.h"
 #include "evrec/util/binary_io.h"
 #include "evrec/util/logging.h"
 #include "evrec/util/rng.h"
@@ -343,63 +340,6 @@ TEST(RepPrecomputeTest, ThreadCountNeverChangesTheTable) {
   ExpectSameBytes(one->user_reps(), four->user_reps());
   ExpectSameBytes(one->event_reps(), four->event_reps());
   SetLogLevel(LogLevel::kInfo);
-}
-
-// ---------- parallel candidate scoring ----------
-
-TEST(ScoreCandidatesTest, ParallelMatchesSequential) {
-  store::RepTable table;
-  serve::RepTableVectorStore vstore(&table);
-  Rng rng(71);
-  std::vector<int> ids;
-  for (int i = 0; i < 33; ++i) {
-    ids.push_back(i);
-    if (i % 7 == 3) continue;  // leave some ids missing from the store
-    std::vector<float> v(8);
-    for (auto& x : v) x = static_cast<float>(rng.Uniform(-1, 1));
-    vstore.Put(store::EntityKind::kEvent, i, std::move(v));
-  }
-  std::vector<float> query(8);
-  for (auto& x : query) x = static_cast<float>(rng.Uniform(-1, 1));
-
-  std::vector<serve::ScoredCandidate> seq = serve::ScoreCandidates(
-      &vstore, store::EntityKind::kEvent, query, ids, /*pool=*/nullptr);
-  ThreadPool pool(4);
-  std::vector<serve::ScoredCandidate> par = serve::ScoreCandidates(
-      &vstore, store::EntityKind::kEvent, query, ids, &pool);
-
-  ASSERT_EQ(seq.size(), par.size());
-  for (size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(seq[i].id, par[i].id);
-    EXPECT_EQ(seq[i].found, par[i].found);
-    EXPECT_EQ(seq[i].score, par[i].score);  // exact, not approximate
-    EXPECT_EQ(seq[i].found, (ids[i] % 7 != 3));
-  }
-}
-
-TEST(ScoreCandidatesTest, TopKOrdersAndBreaksTies) {
-  std::vector<serve::ScoredCandidate> scored = {
-      {5, 0.2f, true},  {9, 0.9f, true}, {1, 0.5f, true},
-      {7, 0.5f, true},  {3, 0.0f, false},  // missing: never ranked
-      {2, -0.1f, true},
-  };
-  // TopKSpan selects without consuming, so `scored` survives all queries.
-  std::vector<serve::ScoredCandidate> top =
-      serve::TopKSpan(scored.data(), scored.size(), 4);
-  ASSERT_EQ(top.size(), 4u);
-  EXPECT_EQ(top[0].id, 9);
-  EXPECT_EQ(top[1].id, 1);  // 0.5 tie broken by ascending id
-  EXPECT_EQ(top[2].id, 7);
-  EXPECT_EQ(top[3].id, 5);
-  // k larger than the found set returns only found candidates.
-  EXPECT_EQ(serve::TopKSpan(scored.data(), scored.size(), 10).size(), 5u);
-  // k = 0 and the consuming rvalue overload.
-  EXPECT_TRUE(serve::TopKSpan(scored.data(), scored.size(), 0).empty());
-  std::vector<serve::ScoredCandidate> consumed =
-      serve::TopK(std::move(scored), 2);
-  ASSERT_EQ(consumed.size(), 2u);
-  EXPECT_EQ(consumed[0].id, 9);
-  EXPECT_EQ(consumed[1].id, 1);
 }
 
 }  // namespace

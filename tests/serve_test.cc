@@ -29,6 +29,7 @@
 #include "evrec/util/clock.h"
 #include "evrec/util/logging.h"
 #include "evrec/util/string_util.h"
+#include "tiny_serving_system.h"
 
 namespace evrec {
 namespace serve {
@@ -246,44 +247,10 @@ class FlakyVectorStore : public VectorStore {
 
 // ---------- end-to-end fixture ----------
 
-pipeline::PipelineConfig TinyServePipelineConfig() {
-  pipeline::PipelineConfig cfg;
-  cfg.simnet = simnet::TinySimnetConfig();
-  cfg.simnet.seed = 4242;  // distinct fingerprint from other suites
-  cfg.rep.embedding_dim = 8;
-  cfg.rep.module_out_dim = 8;
-  cfg.rep.hidden_dim = 16;
-  cfg.rep.rep_dim = 8;
-  cfg.rep.text_windows = {1, 3};
-  cfg.rep.max_epochs = 2;
-  cfg.rep.batch_size = 16;
-  cfg.rep.min_document_frequency = 2;
-  cfg.gbdt.num_trees = 30;
-  cfg.gbdt.max_leaves = 8;
-  cfg.gbdt.min_samples_leaf = 10;
-  cfg.max_user_tokens = 64;
-  cfg.max_event_tokens = 64;
-  return cfg;
-}
-
-baseline::FeatureConfig PrimaryFeatures() {
-  baseline::FeatureConfig features;
-  features.base = true;
-  features.cf = true;
-  features.rep_score = true;
-  return features;
-}
-
-// Week-6 impressions grouped into one request per (user, day).
-using RequestMap = std::map<std::pair<int, int>, std::vector<int>>;
-
-RequestMap GroupEvalRequests(const simnet::SimnetDataset& data) {
-  RequestMap requests;
-  for (const auto& imp : data.eval) {
-    requests[{imp.user, imp.day}].push_back(imp.event);
-  }
-  return requests;
-}
+using tiny::GroupEvalRequests;
+using tiny::PrimaryFeatures;
+using tiny::RequestMap;
+using tiny::TinyServePipelineConfig;
 
 class ServeEndToEndTest : public ::testing::Test {
  protected:

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <regex>
@@ -278,6 +280,43 @@ TEST(StringUtilTest, Join) {
 TEST(StringUtilTest, StrFormat) {
   EXPECT_EQ(StrFormat("x=%d y=%.2f", 3, 1.5), "x=3 y=1.50");
   EXPECT_EQ(StrFormat("%s", ""), "");
+}
+
+TEST(StringUtilTest, ParseNumberAcceptsOnlyWholeNumbers) {
+  int i = 7;
+  EXPECT_TRUE(ParseNumber("42", &i));
+  EXPECT_EQ(i, 42);
+  EXPECT_TRUE(ParseNumber("-3", &i));
+  EXPECT_EQ(i, -3);
+  for (const char* bad : {"", "abc", "12x", " 1", "1 ", "+1", "1.5", "0x10",
+                          "2147483648"}) {
+    EXPECT_FALSE(ParseNumber(bad, &i)) << "'" << bad << "'";
+  }
+  EXPECT_EQ(i, -3);  // unchanged by every failure
+
+  int64_t l = 0;
+  EXPECT_TRUE(ParseNumber("2147483648", &l));
+  EXPECT_EQ(l, int64_t{2147483648});
+  EXPECT_FALSE(ParseNumber("9223372036854775808", &l));
+
+  uint64_t u = 0;
+  EXPECT_TRUE(ParseNumber("18446744073709551615", &u));
+  EXPECT_EQ(u, UINT64_MAX);
+  EXPECT_FALSE(ParseNumber("-1", &u));
+  EXPECT_FALSE(ParseNumber("18446744073709551616", &u));
+
+  double d = 0.0;
+  EXPECT_TRUE(ParseNumber("0.25", &d));
+  EXPECT_EQ(d, 0.25);
+  EXPECT_TRUE(ParseNumber("-1e-3", &d));
+  EXPECT_EQ(d, -1e-3);
+  // Correctly rounded, like strtod.
+  EXPECT_TRUE(ParseNumber("0.123456789", &d));
+  EXPECT_EQ(d, std::strtod("0.123456789", nullptr));
+  for (const char* bad : {"", "x", "1.5.2", "1e", " 2", "nan", "inf",
+                          "-inf", "1e999"}) {
+    EXPECT_FALSE(ParseNumber(bad, &d)) << "'" << bad << "'";
+  }
 }
 
 TEST(StringUtilTest, StartsEndsWith) {

@@ -37,9 +37,11 @@
 #            period, and the offline report reproduces the serve frames
 #            and the SLO-forced requests.
 #   kernels  SIMD tiers: kernel_test under every EVREC_SIMD tier in each
-#            sanitizer build; then trained models and the metrics JSON are
-#            byte-identical between EVREC_SIMD=scalar and the native tier.
-#            This is why the SIMD level is not in the model fingerprint.
+#            sanitizer build; then the metrics JSON is byte-identical
+#            between EVREC_SIMD=scalar and the native tier. Trained models
+#            are pinned across tiers by contracts_test (in this gate's
+#            suites and in tier-1), which is why the SIMD level is not in
+#            the model fingerprint.
 #
 # bench_diff is covered by the tier-1 bench_diff_test.
 set -euo pipefail
@@ -54,7 +56,7 @@ crash    address,undefined,thread  -             -             checkpoint_test|u
 trace    address,thread            trace_e2e     -             obs_test|util_test|serve_test
 monitor  address,undefined,thread  monitor_e2e   -             monitor_test|obs_test|serve_test
 profile  address,undefined,thread  -             profile_e2e   profile_test|obs_test|monitor_test|serve_test
-kernels  address,undefined,thread  kernel_tiers  kernels_e2e   kernel_test|la_test|nn_test|parallel_test|serve_test
+kernels  address,undefined,thread  kernel_tiers  kernels_e2e   kernel_test|la_test|nn_test|parallel_test|serve_test|contracts_test
 "
 
 # build DIR SANITIZER: configure and build everything.
@@ -154,23 +156,13 @@ kernel_tiers() {
 }
 
 kernels_e2e() {
-  local cli="$PWD/$1/tools/evrec_cli" w t f
+  local cli="$PWD/$1/tools/evrec_cli" w t
   w="$(mktemp -d -p "$work")"
-  mkdir "$w/data"
-  "$cli" generate --out "$w/data" --users 60 --events 60 > /dev/null
-  for t in 1 4; do
-    EVREC_SIMD=scalar "$cli" train --data "$w/data" \
-      --model "$w/model_scalar_t$t.bin" --epochs 2 --threads "$t" > /dev/null
-    "$cli" train --data "$w/data" \
-      --model "$w/model_native_t$t.bin" --epochs 2 --threads "$t" > /dev/null
-  done
-  for f in model_scalar_t4.bin model_native_t1.bin model_native_t4.bin; do
-    same_bytes "$w/model_scalar_t1.bin" "$w/$f" \
-      "trained model $f vs the scalar --threads 1 run"
-  done
-  # The registry snapshot includes env/pool series, so it is only promised
-  # identical for identical flags: compare scalar vs native per thread
-  # count (the SIMD-tier invariant), not across thread counts.
+  # Trained-model identity across tiers and threads is tier-1
+  # (contracts_test). The registry snapshot includes env/pool series, so
+  # it is only promised identical for identical flags: compare scalar vs
+  # native per thread count (the SIMD-tier invariant), not across thread
+  # counts.
   for t in 1 4; do
     mkdir "$w/scalar_t$t" "$w/native_t$t"
     (cd "$w/scalar_t$t" && EVREC_SIMD=scalar "$cli" metrics \

@@ -13,8 +13,8 @@
 //       Train the GBDT combiner on the week-5 split with the given feature
 //       set and report AUC / PR60 / PR80 on the week-6 split.
 //   search --data DIR --model FILE --event ID [--k K]
-//       Related-event search: rank events by representation cosine to a
-//       seed event (IVF index, 4 probes).
+//       Related-event search: the K events nearest to a seed event by
+//       exact representation cosine.
 //   serve-demo [--users N] [--events N] [--seed S] [--error-rate P]
 //              [--spike-rate P] [--spike-us U] [--corrupt-rate P]
 //              [--budget-us U]
@@ -57,18 +57,22 @@
 //       slowest spans, and a self-time flat profile. Exit 1 if the file
 //       is malformed.
 //
-// Exit status 0 on success, 1 on bad usage or failure.
+// Exit status 0 on success; 2 on a bad flag (unknown, missing its value,
+// malformed or out of range; the message names the flag); 1 on any other
+// failure.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 
-#include "evrec/ann/ivf_index.h"
 #include "evrec/obs/health.h"
 #include "evrec/obs/metrics.h"
 #include "evrec/obs/monitor.h"
@@ -81,8 +85,10 @@
 #include "evrec/pipeline/serving.h"
 #include "evrec/serve/fault_injector.h"
 #include "evrec/simnet/dataset_io.h"
+#include "evrec/store/rep_table.h"
 #include "evrec/util/checkpoint.h"
 #include "evrec/util/logging.h"
+#include "evrec/util/string_util.h"
 
 namespace {
 
@@ -122,88 +128,139 @@ struct Args {
   // metrics/monitor exposition format: "text" or "openmetrics".
   std::string format = "text";
 
+  // Parses argv[start..]. A flag that is unknown, lacks its value, or
+  // whose value is not one whole number in the flag's range prints a
+  // message naming the flag and returns false (the caller exits 2).
   static bool Parse(int argc, char** argv, Args* out_args,
                     int start = 2) {
+    constexpr int kIntMax = std::numeric_limits<int>::max();
+    constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+    constexpr uint64_t kUint64Max = std::numeric_limits<uint64_t>::max();
+    Args& a = *out_args;
     for (int i = start; i < argc; ++i) {
-      std::string flag = argv[i];
-      auto next = [&]() -> const char* {
-        return (i + 1 < argc) ? argv[++i] : nullptr;
-      };
+      const std::string flag = argv[i];
       if (flag == "--siamese") {
-        out_args->siamese = true;
+        a.siamese = true;
         continue;
       }
       if (flag == "--resume") {
-        out_args->resume = true;
+        a.resume = true;
         continue;
       }
       if (flag == "--folded") {
-        out_args->folded = true;
+        a.folded = true;
         continue;
       }
-      const char* v = next();
-      if (v == nullptr) {
-        std::fprintf(stderr, "missing value for %s\n", flag.c_str());
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "evrec_cli: missing value for %s\n",
+                     flag.c_str());
         return false;
       }
+      const char* v = argv[++i];
+      bool ok = true;
       if (flag == "--data") {
-        out_args->data = v;
+        a.data = v;
       } else if (flag == "--out") {
-        out_args->out = v;
+        a.out = v;
       } else if (flag == "--model") {
-        out_args->model = v;
+        a.model = v;
       } else if (flag == "--json") {
-        out_args->json = v;
+        a.json = v;
       } else if (flag == "--features") {
-        out_args->features = v;
-      } else if (flag == "--users") {
-        out_args->users = std::atoi(v);
-      } else if (flag == "--events") {
-        out_args->events = std::atoi(v);
-      } else if (flag == "--epochs") {
-        out_args->epochs = std::atoi(v);
-      } else if (flag == "--event") {
-        out_args->event_id = std::atoi(v);
-      } else if (flag == "--k") {
-        out_args->k = std::atoi(v);
-      } else if (flag == "--threads") {
-        out_args->threads = std::atoi(v);
+        a.features = v;
+        ok = FeaturesFlag(v);
       } else if (flag == "--checkpoint-dir") {
-        out_args->checkpoint_dir = v;
-      } else if (flag == "--checkpoint-every") {
-        out_args->checkpoint_every = std::atoi(v);
-      } else if (flag == "--seed") {
-        out_args->seed = static_cast<uint64_t>(std::atoll(v));
-      } else if (flag == "--error-rate") {
-        out_args->error_rate = std::atof(v);
-      } else if (flag == "--spike-rate") {
-        out_args->spike_rate = std::atof(v);
-      } else if (flag == "--corrupt-rate") {
-        out_args->corrupt_rate = std::atof(v);
-      } else if (flag == "--spike-us") {
-        out_args->spike_us = std::atoll(v);
-      } else if (flag == "--budget-us") {
-        out_args->budget_us = std::atoll(v);
+        a.checkpoint_dir = v;
       } else if (flag == "--trace-out") {
-        out_args->trace_out = v;
-      } else if (flag == "--trace-sample") {
-        out_args->trace_sample = std::atof(v);
-      } else if (flag == "--trace-seed") {
-        out_args->trace_seed = static_cast<uint64_t>(std::atoll(v));
-      } else if (flag == "--top") {
-        out_args->top = std::atoi(v);
+        a.trace_out = v;
       } else if (flag == "--profile-out") {
-        out_args->profile_out = v;
-      } else if (flag == "--profile-hz") {
-        out_args->profile_hz = std::atoi(v);
+        a.profile_out = v;
       } else if (flag == "--format") {
-        out_args->format = v;
+        a.format = v;
+      } else if (flag == "--users") {
+        ok = NumberFlag(flag, v, 1, kIntMax, &a.users);
+      } else if (flag == "--events") {
+        ok = NumberFlag(flag, v, 1, kIntMax, &a.events);
+      } else if (flag == "--epochs") {
+        ok = NumberFlag(flag, v, 1, kIntMax, &a.epochs);
+      } else if (flag == "--event") {
+        ok = NumberFlag(flag, v, 0, kIntMax, &a.event_id);
+      } else if (flag == "--k") {
+        ok = NumberFlag(flag, v, 1, kIntMax, &a.k);
+      } else if (flag == "--threads") {
+        ok = NumberFlag(flag, v, 1, kMaxThreads, &a.threads);
+      } else if (flag == "--checkpoint-every") {
+        ok = NumberFlag(flag, v, 1, kIntMax, &a.checkpoint_every);
+      } else if (flag == "--seed") {
+        ok = NumberFlag(flag, v, uint64_t{0}, kUint64Max, &a.seed);
+      } else if (flag == "--error-rate") {
+        ok = NumberFlag(flag, v, 0.0, 1.0, &a.error_rate);
+      } else if (flag == "--spike-rate") {
+        ok = NumberFlag(flag, v, 0.0, 1.0, &a.spike_rate);
+      } else if (flag == "--corrupt-rate") {
+        ok = NumberFlag(flag, v, 0.0, 1.0, &a.corrupt_rate);
+      } else if (flag == "--spike-us") {
+        ok = NumberFlag(flag, v, int64_t{0}, kInt64Max, &a.spike_us);
+      } else if (flag == "--budget-us") {
+        ok = NumberFlag(flag, v, int64_t{0}, kInt64Max, &a.budget_us);
+      } else if (flag == "--trace-sample") {
+        ok = NumberFlag(flag, v, 0.0, 1.0, &a.trace_sample);
+      } else if (flag == "--trace-seed") {
+        ok = NumberFlag(flag, v, uint64_t{0}, kUint64Max, &a.trace_seed);
+      } else if (flag == "--top") {
+        ok = NumberFlag(flag, v, 1, kIntMax, &a.top);
+      } else if (flag == "--profile-hz") {
+        ok = NumberFlag(flag, v, 1, 1000000, &a.profile_hz);
       } else {
-        std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
+        std::fprintf(stderr, "evrec_cli: unknown flag %s\n", flag.c_str());
         return false;
       }
+      if (!ok) return false;
     }
     return true;
+  }
+
+ private:
+  // A worker-pool bound, so a typo cannot start thousands of threads.
+  static constexpr int kMaxThreads = 256;
+
+  // Stores the value when all of it is one number in [lo, hi]; otherwise
+  // prints why, naming the flag, and returns false.
+  template <typename T>
+  static bool NumberFlag(const std::string& flag, const char* value, T lo,
+                         T hi, T* out) {
+    T parsed{};
+    if (ParseNumber(value, &parsed) && parsed >= lo && parsed <= hi) {
+      *out = parsed;
+      return true;
+    }
+    std::ostringstream range;
+    range << '[' << lo << ", " << hi << ']';
+    std::fprintf(stderr,
+                 "evrec_cli: invalid value '%s' for %s: expected %s in %s\n",
+                 value, flag.c_str(),
+                 std::is_floating_point_v<T> ? "a number" : "an integer",
+                 range.str().c_str());
+    return false;
+  }
+
+  // True when --features names one or more of base, cf, rep and score
+  // joined by '+' (CmdEval matches those names as substrings, so any
+  // other text would silently select a different or empty feature set).
+  static bool FeaturesFlag(const char* value) {
+    const std::vector<std::string_view> names = SplitAndTrim(value, "+");
+    bool ok = !names.empty();
+    for (std::string_view name : names) {
+      ok = ok && (name == "base" || name == "cf" || name == "rep" ||
+                  name == "score");
+    }
+    if (!ok) {
+      std::fprintf(stderr,
+                   "evrec_cli: invalid value '%s' for --features: expected "
+                   "base, cf, rep and score joined by '+'\n",
+                   value);
+    }
+    return ok;
   }
 };
 
@@ -422,18 +479,18 @@ int CmdSearch(const Args& args) {
                  sys.status().ToString().c_str());
     return 1;
   }
-  if (args.event_id < 0 || args.event_id >= sys->dataset.num_events()) {
-    std::fprintf(stderr, "event id out of range\n");
-    return 1;
+  if (args.event_id >= sys->dataset.num_events()) {
+    std::fprintf(stderr,
+                 "evrec_cli: invalid value '%d' for --event: expected an "
+                 "event id in [0, %d)\n",
+                 args.event_id, sys->dataset.num_events());
+    return 2;
   }
   std::vector<std::vector<float>> ureps, ereps;
   sys->ComputeReps(&ureps, &ereps);
-  ann::IvfIndex index;
-  ann::IvfConfig ivf;
-  ivf.num_lists = 16;
-  index.Build(ereps, ivf);
-  auto results = index.Search(ereps[static_cast<size_t>(args.event_id)],
-                              args.k, /*nprobe=*/4, args.event_id);
+  const std::vector<store::Neighbor> results = store::NearestByCosine(
+      ereps[static_cast<size_t>(args.event_id)], ereps, args.event_id,
+      args.k);
   const auto& seed = sys->dataset.events[static_cast<size_t>(args.event_id)];
   std::printf("seed [%s]:", seed.category_name.c_str());
   for (const auto& w : seed.title_words) std::printf(" %s", w.c_str());
@@ -1001,7 +1058,7 @@ void Usage() {
       "  generate    write a synthetic SimNet dataset to --out DIR\n"
       "  train       train the two-stage model on --data, save to --model\n"
       "  eval        score a trained --model on the held-out week\n"
-      "  search      ANN nearest-event lookup around --event in rep space\n"
+      "  search      exact nearest events to --event by rep cosine\n"
       "  serve-demo  fault-storm replay through the degradation chain\n"
       "  metrics     serve-demo + full metric-registry exposition\n"
       "  monitor     healthy/storm/recovery replay with SLO alerts\n"
@@ -1010,11 +1067,13 @@ void Usage() {
       "\n"
       "  generate   --out DIR [--users N] [--events N] [--seed S]\n"
       "  train      --data DIR --model FILE [--epochs N] [--siamese]\n"
-      "             [--threads N]  (data-parallel; same results for any N)\n"
+      "             [--threads N]  (1-256, data-parallel; same results\n"
+      "             for any N)\n"
       "             [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]\n"
       "             (crash-safe: resumed runs are bit-identical)\n"
       "  eval       --data DIR --model FILE [--features base+cf+rep+score]\n"
       "  search     --data DIR --model FILE --event ID [--k K]\n"
+      "             (exact cosine; ties by ascending event id)\n"
       "  serve-demo [--seed S] [--error-rate P] [--spike-rate P]\n"
       "             [--spike-us U] [--corrupt-rate P] [--budget-us U]\n"
       "             [--trace-out FILE] [--trace-sample P] [--trace-seed S]\n"
@@ -1030,7 +1089,10 @@ void Usage() {
       "             writes the OpenMetrics exposition)\n"
       "  trace      FILE [--top N]  (analyze an exported Chrome trace)\n"
       "  profile    FILE [--top N] [--folded]  (top-N self/total time and\n"
-      "             allocation tables; --folded emits flamegraph input)\n");
+      "             allocation tables; --folded emits flamegraph input)\n"
+      "\n"
+      "A numeric flag must be one whole number in its range; a bad flag\n"
+      "exits 2.\n");
 }
 
 }  // namespace
@@ -1051,7 +1113,7 @@ int main(int argc, char** argv) {
     Args args;
     if (!Args::Parse(argc, argv, &args, /*start=*/3)) {
       Usage();
-      return 1;
+      return 2;
     }
     return cmd == "trace" ? CmdTrace(argv[2], args)
                           : CmdProfile(argv[2], args);
@@ -1059,7 +1121,7 @@ int main(int argc, char** argv) {
   Args args;
   if (!Args::Parse(argc, argv, &args)) {
     Usage();
-    return 1;
+    return 2;
   }
   if (cmd == "generate") return CmdGenerate(args);
   if (cmd == "train") return CmdTrain(args);
