@@ -159,9 +159,11 @@ BENCHMARK(BM_PairSimilarityCached);
 void BM_TrainStepPair(benchmark::State& state) {
   auto& f = GetModelFixture();
   model::JointModel::PairContext ctx;
+  model::JointModel::GradBuffer grads = f.model->MakeGradBuffer();
   for (auto _ : state) {
     f.model->Similarity(f.user_inputs, f.event_inputs, &ctx);
-    f.model->AccumulatePairGradient(ctx, 1.0f);
+    f.model->AccumulatePairGradient(ctx, 1.0f, 1.0f, &grads);
+    f.model->AccumulateGradients(&grads);
     f.model->Step(0.0f);  // zero-lr step to flush gradients
   }
 }

@@ -12,11 +12,26 @@
 namespace evrec {
 namespace bench {
 
+namespace {
+
+// evrec_cli's --threads bound, so a typo cannot start thousands of pool
+// threads.
+constexpr int kMaxBenchThreads = 256;
+
+}  // namespace
+
 int BenchThreads() {
   const char* env = std::getenv("EVREC_THREADS");
-  if (env == nullptr) return 1;
-  int n = std::atoi(env);
-  return n < 1 ? 1 : n;
+  if (env == nullptr || *env == '\0') return 1;
+  int n = 0;
+  if (!ParseNumber(env, &n) || n < 1 || n > kMaxBenchThreads) {
+    std::fprintf(stderr,
+                 "invalid EVREC_THREADS '%s': expected an integer in "
+                 "[1, %d]\n",
+                 env, kMaxBenchThreads);
+    std::exit(2);
+  }
+  return n;
 }
 
 pipeline::PipelineConfig BenchProfile() {

@@ -26,8 +26,10 @@ namespace evrec {
 namespace bench {
 
 // Worker threads for the bench pipelines: the EVREC_THREADS environment
-// variable, clamped to >= 1 (default 1). Training results are identical
-// for any value; only wall-clock changes.
+// variable, one whole number in [1, 256]; unset or empty means 1. Any
+// other value prints a message naming EVREC_THREADS and exits 2 before a
+// pool is built. Training results are identical for any value; only
+// wall-clock changes.
 int BenchThreads();
 
 // The canonical bench-scale pipeline configuration (threads comes from

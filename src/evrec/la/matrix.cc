@@ -1,16 +1,11 @@
 #include "evrec/la/matrix.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "evrec/la/simd/dispatch.h"
 
 namespace evrec {
 namespace la {
-
-void Matrix::SetZero() {
-  std::memset(data_.data(), 0, data_.size() * sizeof(float));
-}
 
 void Matrix::XavierInit(Rng& rng) {
   double s = std::sqrt(6.0 / (rows_ + cols_ + 1e-12));
@@ -42,19 +37,6 @@ void Matrix::GemvTransposedAccum(const float* __restrict y,
                                  float* __restrict out) const {
   simd::ActiveKernels().gemv_transposed_accum(data_.data(), rows_, cols_, y,
                                               out);
-}
-
-void Matrix::AddOuter(float alpha, const float* __restrict y,
-                      const float* __restrict x) {
-  simd::ActiveKernels().add_outer(data_.data(), rows_, cols_, alpha, y, x);
-}
-
-void Matrix::AddScaled(float alpha, const Matrix& other) {
-  EVREC_CHECK(SameShape(other));
-  float* __restrict dst = data_.data();
-  const float* __restrict src = other.data_.data();
-  const size_t n = data_.size();
-  for (size_t i = 0; i < n; ++i) dst[i] += alpha * src[i];
 }
 
 double Matrix::FrobeniusNorm() const {

@@ -51,8 +51,6 @@ class Matrix {
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }
 
-  void SetZero();
-
   // Reshapes to rows x cols, reusing the existing allocation when it is
   // large enough (contents are zeroed either way). Per-example scratch
   // matrices (conv windows, pre-pool activations) call this every Forward,
@@ -71,12 +69,6 @@ class Matrix {
 
   // out += M^T * y    (out: cols_, y: rows_) — the backward pass of Gemv.
   void GemvTransposedAccum(const float* y, float* out) const;
-
-  // M += alpha * y * x^T (y: rows_, x: cols_) — gradient accumulation.
-  void AddOuter(float alpha, const float* y, const float* x);
-
-  // In-place M += alpha * other (same shape).
-  void AddScaled(float alpha, const Matrix& other);
 
   // Frobenius norm.
   double FrobeniusNorm() const;

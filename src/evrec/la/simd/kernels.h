@@ -32,9 +32,6 @@ struct KernelTable {
   // out += M^T y; skips rows with y[r] == 0 (common for sparse gradients).
   void (*gemv_transposed_accum)(const float* m, int rows, int cols,
                                 const float* y, float* out);
-  // M += alpha * y * x^T; skips rows with alpha * y[r] == 0.
-  void (*add_outer)(float* m, int rows, int cols, float alpha,
-                    const float* y, const float* x);
 };
 
 // Tier accessors. ScalarTable() always exists; the x86 tiers return

@@ -132,15 +132,6 @@ void Avx2GemvTransposedAccum(const float* m, int rows, int cols,
   }
 }
 
-void Avx2AddOuter(float* m, int rows, int cols, float alpha, const float* y,
-                  const float* x) {
-  for (int r = 0; r < rows; ++r) {
-    float ay = alpha * y[r];
-    if (ay == 0.0f) continue;
-    Avx2Axpy(ay, x, m + static_cast<long>(r) * cols, cols);
-  }
-}
-
 }  // namespace
 
 const KernelTable* Avx2Table() {
@@ -153,7 +144,6 @@ const KernelTable* Avx2Table() {
       Avx2FusedGradInput,
       Avx2Gemv,
       Avx2GemvTransposedAccum,
-      Avx2AddOuter,
   };
   return &table;
 }

@@ -19,7 +19,6 @@ const KernelTable* ScalarTable() {
       ScalarFusedGradInput,
       ScalarGemv,
       ScalarGemvTransposedAccum,
-      ScalarAddOuter,
   };
   return &table;
 }

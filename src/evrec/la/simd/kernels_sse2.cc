@@ -130,15 +130,6 @@ void Sse2GemvTransposedAccum(const float* m, int rows, int cols,
   }
 }
 
-void Sse2AddOuter(float* m, int rows, int cols, float alpha, const float* y,
-                  const float* x) {
-  for (int r = 0; r < rows; ++r) {
-    float ay = alpha * y[r];
-    if (ay == 0.0f) continue;
-    Sse2Axpy(ay, x, m + static_cast<long>(r) * cols, cols);
-  }
-}
-
 }  // namespace
 
 const KernelTable* Sse2Table() {
@@ -151,7 +142,6 @@ const KernelTable* Sse2Table() {
       Sse2FusedGradInput,
       Sse2Gemv,
       Sse2GemvTransposedAccum,
-      Sse2AddOuter,
   };
   return &table;
 }

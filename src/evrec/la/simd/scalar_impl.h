@@ -85,15 +85,6 @@ inline void ScalarGemvTransposedAccum(const float* m, int rows, int cols,
   }
 }
 
-inline void ScalarAddOuter(float* m, int rows, int cols, float alpha,
-                           const float* y, const float* x) {
-  for (int r = 0; r < rows; ++r) {
-    float ay = alpha * y[r];
-    if (ay == 0.0f) continue;
-    ScalarAxpy(ay, x, m + static_cast<long>(r) * cols, cols);
-  }
-}
-
 }  // namespace simd
 }  // namespace la
 }  // namespace evrec

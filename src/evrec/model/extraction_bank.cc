@@ -34,52 +34,21 @@ void ExtractionBank::Forward(const text::EncodedText& input,
   }
 }
 
-void ExtractionBank::Backward(const float* dout, const Context& ctx) {
+int ExtractionBank::num_params() const {
+  int n = 0;
+  for (const auto& m : modules_) n += m.conv().num_params();
+  return n;
+}
+
+void ExtractionBank::Backward(
+    const float* dout, const Context& ctx, float* conv_grads,
+    nn::EmbeddingTable::Gradients* table_grads) const {
   EVREC_CHECK_EQ(ctx.modules.size(), modules_.size());
   for (size_t i = 0; i < modules_.size(); ++i) {
     modules_[i].Backward(dout + static_cast<long>(i) * module_out_dim_,
-                         ctx.modules[i]);
+                         ctx.modules[i], conv_grads, table_grads);
+    conv_grads += modules_[i].conv().num_params();
   }
-}
-
-void ExtractionBank::Backward(const float* dout, const Context& ctx,
-                              GradBuffer* grads) const {
-  EVREC_CHECK_EQ(ctx.modules.size(), modules_.size());
-  EVREC_CHECK_EQ(grads->convs.size(), modules_.size());
-  for (size_t i = 0; i < modules_.size(); ++i) {
-    modules_[i].Backward(dout + static_cast<long>(i) * module_out_dim_,
-                         ctx.modules[i], &grads->convs[i], &grads->table);
-  }
-}
-
-ExtractionBank::GradBuffer ExtractionBank::MakeGradBuffer() const {
-  GradBuffer g;
-  g.convs.reserve(modules_.size());
-  for (const auto& m : modules_) g.convs.push_back(m.MakeConvGradients());
-  g.table = table_->MakeGradients();
-  return g;
-}
-
-void ExtractionBank::AccumulateGradients(GradBuffer* grads) {
-  for (size_t i = 0; i < modules_.size(); ++i) {
-    modules_[i].AccumulateConvGradients(&grads->convs[i]);
-  }
-  table_->AccumulateGradients(&grads->table);
-}
-
-void ExtractionBank::EnableAdagrad() {
-  table_->EnableAdagrad();
-  for (auto& m : modules_) m.EnableAdagrad();
-}
-
-void ExtractionBank::Step(float lr) {
-  for (auto& m : modules_) m.Step(lr);
-  table_->Step(lr);
-}
-
-void ExtractionBank::ZeroGrad() {
-  for (auto& m : modules_) m.ZeroGrad();
-  table_->ZeroGrad();
 }
 
 void ExtractionBank::Serialize(BinaryWriter& w) const {
@@ -88,16 +57,6 @@ void ExtractionBank::Serialize(BinaryWriter& w) const {
   table_->Serialize(w);
   w.WriteI32(static_cast<int>(modules_.size()));
   for (const auto& m : modules_) m.Serialize(w);
-}
-
-void ExtractionBank::SerializeOptimizer(BinaryWriter& w) const {
-  table_->SerializeOptimizer(w);
-  for (const auto& m : modules_) m.conv().SerializeOptimizer(w);
-}
-
-void ExtractionBank::DeserializeOptimizer(BinaryReader& r) {
-  table_->DeserializeOptimizer(r);
-  for (auto& m : modules_) m.mutable_conv().DeserializeOptimizer(r);
 }
 
 ExtractionBank ExtractionBank::Deserialize(BinaryReader& r) {

@@ -28,53 +28,34 @@ class ExtractionBank {
     std::vector<float> output;  // concatenated module outputs
   };
 
-  // Detached gradients: one buffer per convolution plus one sparse buffer
-  // for the shared table (see nn/linear_layer.h for the shard contract).
-  struct GradBuffer {
-    std::vector<nn::LinearLayer::Gradients> convs;
-    nn::EmbeddingTable::Gradients table;
-  };
-
   int output_dim() const {
     return static_cast<int>(modules_.size()) * module_out_dim_;
   }
   int num_modules() const { return static_cast<int>(modules_.size()); }
   const nn::ConvTextModule& module(int i) const { return modules_[i]; }
-  nn::ConvTextModule& mutable_module(int i) { return modules_[i]; }
+  // Module i's convolution and the shared table, const and mutable alike,
+  // so model::Tower walks its parameters with one template.
+  const nn::LinearLayer& conv(int i) const { return modules_[i].conv(); }
+  nn::LinearLayer& conv(int i) { return modules_[i].mutable_conv(); }
   const nn::EmbeddingTable& table() const { return *table_; }
-  std::shared_ptr<nn::EmbeddingTable> shared_table() { return table_; }
+  nn::EmbeddingTable& table() { return *table_; }
+  // Floats of the modules' convolution gradients, back to back.
+  int num_params() const;
 
   void RandomInit(Rng& rng, float embedding_scale = 0.1f);
 
   void Forward(const text::EncodedText& input, Context* ctx) const;
 
   // `dout` has output_dim() entries (the concatenation layout of Forward).
-  void Backward(const float* dout, const Context& ctx);
-
-  // Same math into an external buffer; const, concurrency-safe on
-  // disjoint buffers.
-  void Backward(const float* dout, const Context& ctx,
-                GradBuffer* grads) const;
-
-  GradBuffer MakeGradBuffer() const;
-
-  // Folds `grads` into the internal accumulators (modules first, then the
-  // shared table — mirroring Step's order) and clears it.
-  void AccumulateGradients(GradBuffer* grads);
-
-  void EnableAdagrad();
-
-  // Steps every convolution and the shared table exactly once.
-  void Step(float lr);
-  void ZeroGrad();
+  // Accumulates each module's convolution gradient into `conv_grads`
+  // (num_params() floats, module by module) and the shared table's into
+  // `table_grads`. Const, so shards may run it concurrently on disjoint
+  // buffers.
+  void Backward(const float* dout, const Context& ctx, float* conv_grads,
+                nn::EmbeddingTable::Gradients* table_grads) const;
 
   void Serialize(BinaryWriter& w) const;
   static ExtractionBank Deserialize(BinaryReader& r);
-
-  // Adagrad accumulators of the shared table and every convolution, in
-  // Serialize order. Checkpoint-only state (see nn/linear_layer.h).
-  void SerializeOptimizer(BinaryWriter& w) const;
-  void DeserializeOptimizer(BinaryReader& r);
 
  private:
   ExtractionBank() : module_out_dim_(0) {}

@@ -80,20 +80,6 @@ double JointModel::Score(const std::vector<text::EncodedText>& user_inputs,
   return Similarity(user_inputs, event_inputs, &ctx);
 }
 
-double JointModel::AccumulatePairGradient(const PairContext& ctx,
-                                          float label, float weight) {
-  LossGrad lg = Eq1Loss(ctx.similarity, label, config_.theta_r);
-  if (lg.dloss_dsim != 0.0 && weight != 0.0f) {
-    std::vector<float> du(ctx.user.head.rep.size(), 0.0f);
-    std::vector<float> de(ctx.event.head.rep.size(), 0.0f);
-    CosineBackward(ctx.user.head.rep, ctx.event.head.rep, ctx.similarity,
-                   lg.dloss_dsim * weight, &du, &de);
-    user_tower_.Backward(du.data(), ctx.user);
-    event_tower_.Backward(de.data(), ctx.event);
-  }
-  return weight * lg.loss;
-}
-
 double JointModel::AccumulatePairGradient(const PairContext& ctx, float label,
                                           float weight,
                                           GradBuffer* grads) const {
@@ -126,11 +112,6 @@ void JointModel::Step(float lr) {
   event_tower_.Step(lr);
 }
 
-void JointModel::ZeroGrad() {
-  user_tower_.ZeroGrad();
-  event_tower_.ZeroGrad();
-}
-
 void JointModel::Serialize(BinaryWriter& w) const {
   w.WriteMagic("JNTM");
   // Config scalars that affect the serialized topology or inference.
@@ -147,18 +128,6 @@ void JointModel::Serialize(BinaryWriter& w) const {
                                         config_.categorical_windows.end()));
   user_tower_.Serialize(w);
   event_tower_.Serialize(w);
-}
-
-void JointModel::SerializeOptimizer(BinaryWriter& w) const {
-  w.WriteMagic("JOPT");
-  user_tower_.SerializeOptimizer(w);
-  event_tower_.SerializeOptimizer(w);
-}
-
-void JointModel::DeserializeOptimizer(BinaryReader& r) {
-  r.ExpectMagic("JOPT");
-  user_tower_.DeserializeOptimizer(r);
-  event_tower_.DeserializeOptimizer(r);
 }
 
 JointModel JointModel::Deserialize(BinaryReader& r) {

@@ -45,11 +45,12 @@ class JointModel {
     double similarity = 0.0;
   };
 
-  // Detached whole-model gradient state plus the per-pair cosine scratch.
-  // The data-parallel trainer owns one buffer per logical shard; pairs of
-  // a shard backprop into its buffer concurrently with other shards while
-  // the model parameters stay read-only, then the buffers are folded in
-  // fixed shard order (AccumulateGradients) for a deterministic reduction.
+  // Whole-model gradient state of one shard plus the per-pair cosine
+  // scratch. The data-parallel trainer owns one buffer per logical shard;
+  // pairs of a shard backprop into its buffer concurrently with other
+  // shards while the model parameters stay read-only, then the buffers are
+  // folded in fixed shard order (AccumulateGradients) for a deterministic
+  // reduction.
   struct GradBuffer {
     Tower::GradBuffer user;
     Tower::GradBuffer event;
@@ -92,36 +93,23 @@ class JointModel {
     return event_tower_.Represent(event_inputs);
   }
 
-  // Accumulates gradients for one labelled pair whose Similarity() context
-  // is `ctx`; returns the (weighted) Eq. 1 loss. `weight` scales both the
-  // loss and its gradient (multi-feedback training uses weights < 1 for
-  // weak signals such as clicks/"interested").
-  double AccumulatePairGradient(const PairContext& ctx, float label,
-                                float weight = 1.0f);
-
-  // Same pair gradient into an external buffer; const, so any number of
-  // shards may run it concurrently on disjoint buffers.
+  // Accumulates the gradient of one labelled pair whose Similarity()
+  // context is `ctx` into `grads`; returns the (weighted) Eq. 1 loss.
+  // `weight` scales both the loss and its gradient (multi-feedback
+  // training uses weights < 1 for weak signals such as clicks/
+  // "interested"). Const, so any number of shards may run it concurrently
+  // on disjoint buffers.
   double AccumulatePairGradient(const PairContext& ctx, float label,
                                 float weight, GradBuffer* grads) const;
 
+  // The towers' buffers, folds and steps (see model/tower.h).
   GradBuffer MakeGradBuffer() const;
-
-  // Folds one shard buffer into the internal accumulators and clears it.
   void AccumulateGradients(GradBuffer* grads);
-
-  // SGD update on every parameter; `lr` already includes batch scaling.
+  // `lr` already includes batch scaling.
   void Step(float lr);
-  void ZeroGrad();
 
   void Serialize(BinaryWriter& w) const;
   static JointModel Deserialize(BinaryReader& r);
-
-  // Adagrad accumulators of both towers. Checkpoint-only state: model
-  // artifacts (Serialize) carry parameters, checkpoints additionally
-  // carry this so a resumed run continues with the exact per-coordinate
-  // learning rates of the uninterrupted one.
-  void SerializeOptimizer(BinaryWriter& w) const;
-  void DeserializeOptimizer(BinaryReader& r);
 
  private:
   JointModel();

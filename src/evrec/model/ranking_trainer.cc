@@ -55,6 +55,21 @@ std::vector<Contrast> SampleContrasts(const std::vector<UserPools>& pools,
   return contrasts;
 }
 
+// Backprops d(loss)/d(sim) = dsim of one scored pair into `grads` and adds
+// the squared norm of its representation-layer gradient to `grad_sq`.
+void BackpropPair(const JointModel& model, const JointModel::PairContext& ctx,
+                  double sim, double dsim, JointModel::GradBuffer* grads,
+                  double* grad_sq) {
+  grads->du.assign(ctx.user.head.rep.size(), 0.0f);
+  grads->de.assign(ctx.event.head.rep.size(), 0.0f);
+  CosineBackward(ctx.user.head.rep, ctx.event.head.rep, sim, dsim,
+                 &grads->du, &grads->de);
+  for (float g : grads->du) *grad_sq += static_cast<double>(g) * g;
+  for (float g : grads->de) *grad_sq += static_cast<double>(g) * g;
+  model.user_tower().Backward(grads->du.data(), ctx.user, &grads->user);
+  model.event_tower().Backward(grads->de.data(), ctx.event, &grads->event);
+}
+
 }  // namespace
 
 double RankingTrainer::EvaluateLoss(const RepDataset& data,
@@ -83,6 +98,7 @@ RankingStats RankingTrainer::Train(const RepDataset& data,
   auto pools = BuildPools(data);
   float lr = config.learning_rate;
   JointModel::PairContext pos_ctx, neg_ctx;
+  JointModel::GradBuffer grads = model_->MakeGradBuffer();
 
   obs::MetricRegistry* registry = obs::MetricRegistry::Global();
   obs::Series* loss_series = registry->GetSeries("ranking.train_loss");
@@ -113,34 +129,15 @@ RankingStats RankingTrainer::Train(const RepDataset& data,
       double hinge = config.margin - (sp - sn);
       if (hinge > 0.0) {
         epoch_loss += hinge;
-        // dL/dsp = -1, dL/dsn = +1; propagate through both contexts.
-        // Both forwards share the user tower's weights, and each context
-        // carries its own activations, so two backward passes accumulate
-        // correctly.
-        {
-          std::vector<float> du(pos_ctx.user.head.rep.size(), 0.0f);
-          std::vector<float> de(pos_ctx.event.head.rep.size(), 0.0f);
-          CosineBackward(pos_ctx.user.head.rep, pos_ctx.event.head.rep, sp,
-                         -1.0, &du, &de);
-          for (float g : du) grad_sq += static_cast<double>(g) * g;
-          for (float g : de) grad_sq += static_cast<double>(g) * g;
-          model_->mutable_user_tower().Backward(du.data(), pos_ctx.user);
-          model_->mutable_event_tower().Backward(de.data(), pos_ctx.event);
-        }
-        {
-          std::vector<float> du(neg_ctx.user.head.rep.size(), 0.0f);
-          std::vector<float> de(neg_ctx.event.head.rep.size(), 0.0f);
-          CosineBackward(neg_ctx.user.head.rep, neg_ctx.event.head.rep, sn,
-                         1.0, &du, &de);
-          for (float g : du) grad_sq += static_cast<double>(g) * g;
-          for (float g : de) grad_sq += static_cast<double>(g) * g;
-          model_->mutable_user_tower().Backward(du.data(), neg_ctx.user);
-          model_->mutable_event_tower().Backward(de.data(), neg_ctx.event);
-        }
+        // dL/dsp = -1, dL/dsn = +1; both contexts backprop into the one
+        // buffer (each context carries its own activations).
+        BackpropPair(*model_, pos_ctx, sp, -1.0, &grads, &grad_sq);
+        BackpropPair(*model_, neg_ctx, sn, 1.0, &grads, &grad_sq);
       }
       ++batch_count;
       if (batch_count == static_cast<size_t>(config.batch_size) ||
           i + 1 == contrasts.size()) {
+        model_->AccumulateGradients(&grads);
         model_->Step(lr / static_cast<float>(batch_count));
         batch_count = 0;
       }

@@ -5,6 +5,13 @@
 // The user tower instantiates two banks (letter-trigram text with windows
 // {1,3,5}; word-unigram categorical ids with window {1}); the event tower
 // instantiates one (text, windows {1,3,5}).
+//
+// The tower owns training for all of its parameters. They are listed
+// once, in parameter order: for each bank, its table and then its
+// convolutions; then the head's hidden, projection and bypass layers.
+// The layers only backprop into buffers (GradBuffer); the tower folds the
+// shard buffers, steps, and (de)serializes the optimizer state with one
+// loop over that list.
 
 #ifndef EVREC_MODEL_TOWER_H_
 #define EVREC_MODEL_TOWER_H_
@@ -35,11 +42,15 @@ class Tower {
     mutable std::vector<float> dconcat;
   };
 
-  // Detached gradients for the whole tower: one buffer per bank plus the
-  // head's three layers (the frozen FeatureNorm has no parameters).
+  // One shard's gradient for every parameter of the tower, in parameter
+  // order (see the file comment): `dense` holds every convolution's and
+  // then the head's weight and bias gradients back to back, and `tables`
+  // holds one sparse row buffer per bank's lookup table. A plain value
+  // with no pointer into itself, so it stays valid in a growing vector.
   struct GradBuffer {
-    std::vector<ExtractionBank::GradBuffer> banks;
-    TowerHead::GradBuffer head;
+    std::vector<float> dense;
+    std::vector<nn::EmbeddingTable::Gradients> tables;
+    bool used = false;  // a pair backpropped into it since the last fold
   };
 
   int num_banks() const { return static_cast<int>(banks_.size()); }
@@ -69,38 +80,61 @@ class Tower {
   std::vector<float> Represent(
       const std::vector<text::EncodedText>& inputs) const;
 
-  void Backward(const float* drep, const Context& ctx);
-
-  // Same math into an external buffer; const, concurrency-safe on
-  // disjoint buffers (the parameters stay read-only).
+  // Accumulates the gradient of every parameter into `grads`. Const, so
+  // shards may run it concurrently on disjoint buffers while the
+  // parameters stay read-only.
   void Backward(const float* drep, const Context& ctx,
                 GradBuffer* grads) const;
 
+  // A zeroed buffer shaped for this tower.
   GradBuffer MakeGradBuffer() const;
 
-  // Folds `grads` into the internal accumulators and clears it. Must be
-  // called from one thread, in fixed shard order, so the reduction is
-  // deterministic (see model/trainer.h).
+  // Adds `grads` into the tower's fold target and clears it; skips a
+  // buffer no pair wrote. Call from one thread, in fixed shard order 0..S-1,
+  // so the reduction is deterministic (see model/trainer.h).
   void AccumulateGradients(GradBuffer* grads);
 
+  // Switches every parameter from SGD to Adagrad:
+  //   accum += grad^2;  param -= lr * grad / sqrt(accum + eps)
+  // Adaptive per-coordinate rates are what make sparse lookup tables
+  // trainable in few epochs; plain SGD starves rare tokens.
   void EnableAdagrad();
+
+  // Steps every parameter by its folded gradient (SGD: param += -lr *
+  // grad), then clears the fold target. Tables step only touched rows.
   void Step(float lr);
-  void ZeroGrad();
 
   void Serialize(BinaryWriter& w) const;
   static Tower Deserialize(BinaryReader& r);
 
-  // Adagrad accumulators of every bank and the head (checkpoint-only
-  // state; see nn/linear_layer.h).
+  // Optimizer state, kept out of Serialize so model artifacts stay lean:
+  // one EOPT record per table and one LOPT record per layer, in parameter
+  // order, each with its Adagrad accumulators when Adagrad is on (the
+  // bypass's record says off when the bypass is). Checkpoints persist it
+  // so a resumed run steps with the exact per-coordinate rates of the
+  // uninterrupted one. A record whose shape does not match the tower
+  // marks the reader corrupt.
   void SerializeOptimizer(BinaryWriter& w) const;
   void DeserializeOptimizer(BinaryReader& r);
 
  private:
   Tower() : head_(1, 1, 1, false) {}
 
+  // Calls on_table(table, bank_index) and on_layer(layer, offset,
+  // trainable) for every parameter in parameter order, `offset` being the
+  // layer's slice in GradBuffer::dense. Self is Tower or const Tower.
+  template <typename Self, typename OnTable, typename OnLayer>
+  static void ForEachParam(Self& self, OnTable&& on_table,
+                           OnLayer&& on_layer);
+
   std::vector<ExtractionBank> banks_;
   nn::FeatureNorm norm_;
   TowerHead head_;
+  GradBuffer grad_;  // fold target: shard buffers summed in shard order
+  // Adagrad accumulators, laid out like grad_ (empty while SGD).
+  bool adagrad_ = false;
+  std::vector<float> dense_accum_;
+  std::vector<la::Matrix> table_accum_;
 };
 
 }  // namespace model

@@ -52,74 +52,28 @@ void PrepareBackwardScratch(const TowerHead::Context& ctx, int hid, int rep) {
 
 }  // namespace
 
-void TowerHead::Backward(const float* drep, const Context& ctx, float* dx) {
+void TowerHead::Backward(const float* drep, const Context& ctx, float* dx,
+                         float* grads) const {
   const int hid = hidden_dim();
   const int rep = rep_dim();
   PrepareBackwardScratch(ctx, hid, rep);
+  float* hidden_grad = grads;
+  float* projection_grad = hidden_grad + hidden_layer_.num_params();
+  float* bypass_grad = projection_grad + projection_.num_params();
 
   // Through the representation tanh.
   la::TanhBackward(ctx.rep.data(), drep, ctx.dpre_r.data(), rep);
 
   // Through the projection (and bypass) into dh / dx.
-  projection_.Backward(ctx.h.data(), ctx.dpre_r.data(), ctx.dh.data());
+  projection_.Backward(ctx.h.data(), ctx.dpre_r.data(), ctx.dh.data(),
+                       projection_grad);
   if (residual_bypass_) {
-    bypass_.Backward(ctx.x.data(), ctx.dpre_r.data(), dx);
+    bypass_.Backward(ctx.x.data(), ctx.dpre_r.data(), dx, bypass_grad);
   }
 
   // Through the hidden tanh and the affine layer.
   la::TanhBackward(ctx.h.data(), ctx.dh.data(), ctx.dpre_h.data(), hid);
-  hidden_layer_.Backward(ctx.x.data(), ctx.dpre_h.data(), dx);
-}
-
-void TowerHead::Backward(const float* drep, const Context& ctx, float* dx,
-                         GradBuffer* grads) const {
-  const int hid = hidden_dim();
-  const int rep = rep_dim();
-  PrepareBackwardScratch(ctx, hid, rep);
-
-  la::TanhBackward(ctx.rep.data(), drep, ctx.dpre_r.data(), rep);
-
-  projection_.Backward(ctx.h.data(), ctx.dpre_r.data(), ctx.dh.data(),
-                       &grads->projection);
-  if (residual_bypass_) {
-    bypass_.Backward(ctx.x.data(), ctx.dpre_r.data(), dx, &grads->bypass);
-  }
-
-  la::TanhBackward(ctx.h.data(), ctx.dh.data(), ctx.dpre_h.data(), hid);
-  hidden_layer_.Backward(ctx.x.data(), ctx.dpre_h.data(), dx,
-                         &grads->hidden);
-}
-
-TowerHead::GradBuffer TowerHead::MakeGradBuffer() const {
-  GradBuffer g;
-  g.hidden = hidden_layer_.MakeGradients();
-  g.projection = projection_.MakeGradients();
-  if (residual_bypass_) g.bypass = bypass_.MakeGradients();
-  return g;
-}
-
-void TowerHead::AccumulateGradients(GradBuffer* grads) {
-  hidden_layer_.AccumulateGradients(&grads->hidden);
-  projection_.AccumulateGradients(&grads->projection);
-  if (residual_bypass_) bypass_.AccumulateGradients(&grads->bypass);
-}
-
-void TowerHead::EnableAdagrad() {
-  hidden_layer_.EnableAdagrad();
-  projection_.EnableAdagrad();
-  if (residual_bypass_) bypass_.EnableAdagrad();
-}
-
-void TowerHead::Step(float lr) {
-  hidden_layer_.Step(lr);
-  projection_.Step(lr);
-  if (residual_bypass_) bypass_.Step(lr);
-}
-
-void TowerHead::ZeroGrad() {
-  hidden_layer_.ZeroGrad();
-  projection_.ZeroGrad();
-  bypass_.ZeroGrad();
+  hidden_layer_.Backward(ctx.x.data(), ctx.dpre_h.data(), dx, hidden_grad);
 }
 
 void TowerHead::Serialize(BinaryWriter& w) const {
@@ -128,18 +82,6 @@ void TowerHead::Serialize(BinaryWriter& w) const {
   hidden_layer_.Serialize(w);
   projection_.Serialize(w);
   bypass_.Serialize(w);
-}
-
-void TowerHead::SerializeOptimizer(BinaryWriter& w) const {
-  hidden_layer_.SerializeOptimizer(w);
-  projection_.SerializeOptimizer(w);
-  bypass_.SerializeOptimizer(w);
-}
-
-void TowerHead::DeserializeOptimizer(BinaryReader& r) {
-  hidden_layer_.DeserializeOptimizer(r);
-  projection_.DeserializeOptimizer(r);
-  bypass_.DeserializeOptimizer(r);
 }
 
 TowerHead TowerHead::Deserialize(BinaryReader& r) {

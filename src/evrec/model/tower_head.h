@@ -37,14 +37,6 @@ class TowerHead {
     mutable std::vector<float> dpre_r, dh, dpre_h;
   };
 
-  // Detached gradient buffers for the three layers; one per shard in the
-  // data-parallel trainer (see nn/linear_layer.h for the contract).
-  struct GradBuffer {
-    nn::LinearLayer::Gradients hidden;
-    nn::LinearLayer::Gradients projection;
-    nn::LinearLayer::Gradients bypass;
-  };
-
   int in_dim() const { return hidden_layer_.in_dim(); }
   int hidden_dim() const { return hidden_layer_.out_dim(); }
   int rep_dim() const { return projection_.out_dim(); }
@@ -54,36 +46,31 @@ class TowerHead {
 
   void Forward(const float* x, Context* ctx) const;
 
-  // Accumulates parameter gradients; if dx != nullptr, accumulates the
-  // gradient w.r.t. the input (dx must hold in_dim() zeroed-or-accumulating
-  // floats).
-  void Backward(const float* drep, const Context& ctx, float* dx);
-
-  // Same math into an external buffer; const, safe to run concurrently on
+  // Accumulates the hidden, projection and bypass layers' gradients into
+  // `grads` (num_params() floats, in that order; the bypass slice stays
+  // zero when the bypass is off) and the gradient w.r.t. the input into
+  // `dx` (in_dim() floats). Const, so shards may run it concurrently on
   // disjoint buffers.
   void Backward(const float* drep, const Context& ctx, float* dx,
-                GradBuffer* grads) const;
+                float* grads) const;
 
-  GradBuffer MakeGradBuffer() const;
+  // Floats of the three layers' gradients, back to back.
+  int num_params() const {
+    return hidden_layer_.num_params() + projection_.num_params() +
+           bypass_.num_params();
+  }
 
-  // Folds `grads` into the internal accumulators and clears it (call from
-  // one thread, in fixed shard order).
-  void AccumulateGradients(GradBuffer* grads);
-
-  void EnableAdagrad();
-  void Step(float lr);
-  void ZeroGrad();
-
+  // Const and mutable alike, so model::Tower walks its parameters with one
+  // template.
   const nn::LinearLayer& hidden_layer() const { return hidden_layer_; }
   const nn::LinearLayer& projection() const { return projection_; }
   const nn::LinearLayer& bypass() const { return bypass_; }
+  nn::LinearLayer& hidden_layer() { return hidden_layer_; }
+  nn::LinearLayer& projection() { return projection_; }
+  nn::LinearLayer& bypass() { return bypass_; }
 
   void Serialize(BinaryWriter& w) const;
   static TowerHead Deserialize(BinaryReader& r);
-
-  // Adagrad accumulators of the three layers (checkpoint-only state).
-  void SerializeOptimizer(BinaryWriter& w) const;
-  void DeserializeOptimizer(BinaryReader& r);
 
  private:
   nn::LinearLayer hidden_layer_;  // W1, b1: hidden x in

@@ -10,12 +10,13 @@
 // Data parallelism. Each minibatch is split into `grad_shards` logical
 // shards (pair i of the batch goes to shard i % grad_shards). Shards run
 // forward/backward against the shared, read-only model parameters and
-// accumulate into shard-private JointModel::GradBuffers; the buffers are
-// then folded into the model in shard order 0..S-1 and a single Step is
-// taken. Because the shard count — not the thread count — fixes how the
-// per-pair float gradients associate, training is bit-identical for a
-// given seed whatever `threads` is; threads only decide how the shards
-// are spread over workers (shard s runs on worker s % threads).
+// accumulate into shard-private JointModel::GradBuffers (the only place
+// backward writes); each tower then folds the buffers into its fold
+// target in shard order 0..S-1 and a single Step is taken. Because the
+// shard count — not the thread count — fixes how the per-pair float
+// gradients associate, training is bit-identical for a given seed
+// whatever `threads` is; threads only decide how the shards are spread
+// over workers (shard s runs on worker s % threads).
 
 #ifndef EVREC_MODEL_TRAINER_H_
 #define EVREC_MODEL_TRAINER_H_

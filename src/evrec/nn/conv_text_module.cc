@@ -166,29 +166,8 @@ void ConvTextModule::ComputePoolGrad(const float* dout,
   }
 }
 
-void ConvTextModule::Backward(const float* dout, const ConvContext& ctx) {
-  if (ctx.empty) return;
-  const int emb = table_->dim();
-  const int d = window_size_;
-  const int n = static_cast<int>(ctx.token_ids.size());
-
-  ComputePoolGrad(dout, ctx);
-
-  ctx.dwindow.assign(static_cast<size_t>(d) * emb, 0.0f);
-  for (int i = 0; i < ctx.num_windows; ++i) {
-    la::Zero(ctx.dwindow.data(), d * emb);
-    conv_.Backward(ctx.windows.Row(i), ctx.dpre.Row(i), ctx.dwindow.data());
-    for (int p = 0; p < d; ++p) {
-      int tok_pos = i + p;
-      if (tok_pos >= n) break;
-      table_->AccumulateGrad(ctx.token_ids[tok_pos],
-                             ctx.dwindow.data() + p * emb);
-    }
-  }
-}
-
 void ConvTextModule::Backward(const float* dout, const ConvContext& ctx,
-                              LinearLayer::Gradients* conv_grads,
+                              float* conv_grad,
                               EmbeddingTable::Gradients* table_grads) const {
   if (ctx.empty) return;
   const int emb = table_->dim();
@@ -201,12 +180,12 @@ void ConvTextModule::Backward(const float* dout, const ConvContext& ctx,
   for (int i = 0; i < ctx.num_windows; ++i) {
     la::Zero(ctx.dwindow.data(), d * emb);
     conv_.Backward(ctx.windows.Row(i), ctx.dpre.Row(i), ctx.dwindow.data(),
-                   conv_grads);
+                   conv_grad);
     for (int p = 0; p < d; ++p) {
       int tok_pos = i + p;
       if (tok_pos >= n) break;
       table_->AccumulateGrad(ctx.token_ids[tok_pos],
-                             ctx.dwindow.data() + p * emb, 1.0f, table_grads);
+                             ctx.dwindow.data() + p * emb, table_grads);
     }
   }
 }

@@ -65,8 +65,7 @@ struct ConvContext {
 
 class ConvTextModule {
  public:
-  // `table` is shared among the modules of a feature-extraction bank and
-  // stepped once by the owner; Step() here updates only the convolution.
+  // `table` is shared among the modules of a feature-extraction bank.
   ConvTextModule(std::shared_ptr<EmbeddingTable> table, int window_size,
                  int out_dim, PoolType pool = PoolType::kLogSumExp);
 
@@ -82,32 +81,14 @@ class ConvTextModule {
   // Runs the module; fills `ctx` (including argmax_window for attribution).
   void Forward(const text::EncodedText& input, ConvContext* ctx) const;
 
-  // Accumulates gradients into the convolution layer and the shared
-  // embedding table. `dout` has out_dim entries; `ctx` must come from a
-  // matching Forward on this module.
-  void Backward(const float* dout, const ConvContext& ctx);
-
-  // Same math into external buffers; the module and its shared table stay
-  // read-only, so shards may run this concurrently on private buffers
-  // (see nn/linear_layer.h for the reduction contract).
-  void Backward(const float* dout, const ConvContext& ctx,
-                LinearLayer::Gradients* conv_grads,
+  // Accumulates the convolution's gradient into `conv_grad` (its
+  // LinearLayer slice, see LinearLayer::num_params) and the shared
+  // table's into `table_grads`. `dout` has out_dim entries; `ctx` must
+  // come from a matching Forward on this module. The module and its table
+  // stay read-only, so shards may run this concurrently on private
+  // buffers. An empty document contributes nothing.
+  void Backward(const float* dout, const ConvContext& ctx, float* conv_grad,
                 EmbeddingTable::Gradients* table_grads) const;
-
-  // A zeroed buffer shaped for the convolution layer (the shared table's
-  // buffer is made once by the owning bank, not per module).
-  LinearLayer::Gradients MakeConvGradients() const {
-    return conv_.MakeGradients();
-  }
-  void AccumulateConvGradients(LinearLayer::Gradients* grads) {
-    conv_.AccumulateGradients(grads);
-  }
-
-  // Updates the convolution parameters only (the shared table is stepped
-  // by the bank that owns it).
-  void EnableAdagrad() { conv_.EnableAdagrad(); }
-  void Step(float lr) { conv_.Step(lr); }
-  void ZeroGrad() { conv_.ZeroGrad(); }
 
   const LinearLayer& conv() const { return conv_; }
   LinearLayer& mutable_conv() { return conv_; }

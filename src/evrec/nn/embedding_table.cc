@@ -1,16 +1,12 @@
 #include "evrec/nn/embedding_table.h"
 
-#include <cmath>
-
 #include "evrec/la/vec_ops.h"
 
 namespace evrec {
 namespace nn {
 
 EmbeddingTable::EmbeddingTable(int vocab_size, int dim)
-    : table_(vocab_size, dim),
-      grad_(vocab_size, dim),
-      is_touched_(static_cast<size_t>(vocab_size), 0) {
+    : table_(vocab_size, dim) {
   EVREC_CHECK_GT(vocab_size, 0);
   EVREC_CHECK_GT(dim, 0);
 }
@@ -19,33 +15,8 @@ void EmbeddingTable::RandomInit(Rng& rng, float scale) {
   table_.UniformInit(rng, scale);
 }
 
-void EmbeddingTable::AccumulateGrad(int id, const float* grad, float scale) {
-  EVREC_CHECK_GE(id, 0);
-  EVREC_CHECK_LT(id, vocab_size());
-  if (!is_touched_[static_cast<size_t>(id)]) {
-    is_touched_[static_cast<size_t>(id)] = 1;
-    touched_.push_back(id);
-  }
-  la::Axpy(scale, grad, grad_.Row(id), dim());
-}
-
-void EmbeddingTable::AccumulateGrad(int id, const float* grad, float scale,
-                                    Gradients* grads) const {
-  EVREC_CHECK_GE(id, 0);
-  EVREC_CHECK_LT(id, vocab_size());
-  if (!grads->is_touched[static_cast<size_t>(id)]) {
-    grads->is_touched[static_cast<size_t>(id)] = 1;
-    grads->touched.push_back(id);
-  }
-  la::Axpy(scale, grad, grads->grad.Row(id), dim());
-}
-
-EmbeddingTable::Gradients EmbeddingTable::MakeGradients() const {
-  Gradients g;
-  g.grad = la::Matrix(vocab_size(), dim());
-  g.is_touched.assign(static_cast<size_t>(vocab_size()), 0);
-  return g;
-}
+EmbeddingTable::Gradients::Gradients(int vocab_size, int dim)
+    : grad(vocab_size, dim), is_touched(static_cast<size_t>(vocab_size), 0) {}
 
 void EmbeddingTable::Gradients::Clear() {
   for (int id : touched) {
@@ -55,71 +26,20 @@ void EmbeddingTable::Gradients::Clear() {
   touched.clear();
 }
 
-void EmbeddingTable::AccumulateGradients(Gradients* grads) {
-  for (int id : grads->touched) {
-    AccumulateGrad(id, grads->grad.Row(id));
+void EmbeddingTable::AccumulateGrad(int id, const float* grad,
+                                    Gradients* grads) const {
+  EVREC_CHECK_GE(id, 0);
+  EVREC_CHECK_LT(id, vocab_size());
+  if (!grads->is_touched[static_cast<size_t>(id)]) {
+    grads->is_touched[static_cast<size_t>(id)] = 1;
+    grads->touched.push_back(id);
   }
-  grads->Clear();
-}
-
-void EmbeddingTable::EnableAdagrad() {
-  if (!adagrad_) {
-    accum_ = la::Matrix(vocab_size(), dim());
-    adagrad_ = true;
-  }
-}
-
-void EmbeddingTable::Step(float lr) {
-  constexpr float kEps = 1e-8f;
-  for (int id : touched_) {
-    float* row = table_.Row(id);
-    float* g = grad_.Row(id);
-    if (adagrad_) {
-      float* a = accum_.Row(id);
-      for (int d = 0; d < dim(); ++d) {
-        a[d] += g[d] * g[d];
-        row[d] -= lr * g[d] / std::sqrt(a[d] + kEps);
-      }
-    } else {
-      la::Axpy(-lr, g, row, dim());
-    }
-    la::Zero(g, dim());
-    is_touched_[static_cast<size_t>(id)] = 0;
-  }
-  touched_.clear();
-}
-
-void EmbeddingTable::ZeroGrad() {
-  for (int id : touched_) {
-    la::Zero(grad_.Row(id), dim());
-    is_touched_[static_cast<size_t>(id)] = 0;
-  }
-  touched_.clear();
+  la::Axpy(1.0f, grad, grads->grad.Row(id), dim());
 }
 
 void EmbeddingTable::Serialize(BinaryWriter& w) const {
   w.WriteMagic("EMBT");
   table_.Serialize(w);
-}
-
-void EmbeddingTable::SerializeOptimizer(BinaryWriter& w) const {
-  w.WriteMagic("EOPT");
-  w.WriteI32(adagrad_ ? 1 : 0);
-  if (adagrad_) accum_.Serialize(w);
-}
-
-void EmbeddingTable::DeserializeOptimizer(BinaryReader& r) {
-  r.ExpectMagic("EOPT");
-  int adagrad = r.ReadI32();
-  if (!r.ok() || adagrad == 0) return;
-  la::Matrix accum = la::Matrix::Deserialize(r);
-  if (!r.ok()) return;
-  if (accum.rows() != table_.rows() || accum.cols() != table_.cols()) {
-    r.MarkCorrupt("optimizer state shape does not match embedding table");
-    return;
-  }
-  EnableAdagrad();
-  accum_ = std::move(accum);
 }
 
 EmbeddingTable EmbeddingTable::Deserialize(BinaryReader& r) {
@@ -130,8 +50,6 @@ EmbeddingTable EmbeddingTable::Deserialize(BinaryReader& r) {
   EmbeddingTable t(rows, cols);
   if (r.ok() && table.rows() > 0) {
     t.table_ = std::move(table);
-    t.grad_ = la::Matrix(t.table_.rows(), t.table_.cols());
-    t.is_touched_.assign(static_cast<size_t>(t.table_.rows()), 0);
   }
   return t;
 }

@@ -2,13 +2,16 @@
 // vector by a lookup table operation"; the table is part of the network
 // parameters and trained by backprop).
 //
-// Gradients are sparse: only rows touched since the last Step carry
-// gradient, tracked with a touched-row list so Step/ZeroGrad cost is
-// proportional to the minibatch footprint, not the vocabulary size.
+// The table holds parameters only. Its gradient is sparse: a
+// Gradients buffer the caller owns (one per shard, plus the owning
+// model::Tower's fold target) records which rows were touched, so
+// clearing, folding and stepping cost the minibatch footprint, not the
+// vocabulary. The optimizer lives in the tower (model/tower.h).
 
 #ifndef EVREC_NN_EMBEDDING_TABLE_H_
 #define EVREC_NN_EMBEDDING_TABLE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "evrec/la/matrix.h"
@@ -28,70 +31,32 @@ class EmbeddingTable {
   // Random init in [-scale, scale]; paper: "randomly initialized".
   void RandomInit(Rng& rng, float scale = 0.1f);
 
-  // Detached sparse gradient buffer: a dense row store plus the touched-row
-  // list, so clearing and folding cost O(minibatch footprint) exactly like
-  // the internal accumulator. Shard-private instances let data-parallel
-  // trainers backprop concurrently against shared read-only parameters
-  // (see nn/linear_layer.h).
+  // Sparse gradient of one table: a dense row store plus the touched-row
+  // list. A plain value, so buffers may live in growing containers.
   struct Gradients {
+    Gradients(int vocab_size, int dim);
+
     la::Matrix grad;  // vocab x dim
     std::vector<int> touched;
     std::vector<uint8_t> is_touched;
 
     const float* Row(int id) const { return grad.Row(id); }
+    // Zeroes the touched rows and empties the list.
     void Clear();
   };
 
   const float* Vector(int id) const { return table_.Row(id); }
   float* MutableVector(int id) { return table_.Row(id); }
-  const float* GradRow(int id) const { return grad_.Row(id); }
 
-  // grad_row(id) += scale * grad
-  void AccumulateGrad(int id, const float* grad, float scale = 1.0f);
-
-  // Same accumulation into an external buffer; const, thread-safe across
-  // disjoint buffers.
-  void AccumulateGrad(int id, const float* grad, float scale,
-                      Gradients* grads) const;
-
-  // A zeroed buffer shaped like this table.
-  Gradients MakeGradients() const;
-
-  // Folds `grads`' touched rows into the internal accumulator (in the
-  // buffer's touch order) and clears it. Single-threaded, fixed-order.
-  void AccumulateGradients(Gradients* grads);
-
-  // Enables Adagrad updates: step becomes
-  //   accum += grad^2;  table -= lr * grad / sqrt(accum + eps)
-  // Adaptive per-coordinate rates are what make sparse lookup tables
-  // trainable in few epochs; plain SGD starves rare tokens.
-  void EnableAdagrad();
-  bool adagrad_enabled() const { return adagrad_; }
-
-  // table -= lr * grad over touched rows (Adagrad-scaled when enabled),
-  // then clears the gradient.
-  void Step(float lr);
-
-  void ZeroGrad();
-
-  // Number of rows with pending gradient (test/diagnostic hook).
-  int num_touched() const { return static_cast<int>(touched_.size()); }
+  // Backward of the lookup: grads->Row(id) += grad, marking the row
+  // touched. Const, so shards may run it concurrently on disjoint buffers.
+  void AccumulateGrad(int id, const float* grad, Gradients* grads) const;
 
   void Serialize(BinaryWriter& w) const;
   static EmbeddingTable Deserialize(BinaryReader& r);
 
-  // Adagrad accumulator state, persisted by checkpoints only (see
-  // nn/linear_layer.h).
-  void SerializeOptimizer(BinaryWriter& w) const;
-  void DeserializeOptimizer(BinaryReader& r);
-
  private:
   la::Matrix table_;
-  la::Matrix grad_;
-  la::Matrix accum_;  // Adagrad accumulators (empty unless enabled)
-  bool adagrad_ = false;
-  std::vector<int> touched_;
-  std::vector<uint8_t> is_touched_;
 };
 
 }  // namespace nn

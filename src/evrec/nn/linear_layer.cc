@@ -1,7 +1,5 @@
 #include "evrec/nn/linear_layer.h"
 
-#include <cmath>
-
 #include "evrec/la/vec_ops.h"
 
 namespace evrec {
@@ -9,9 +7,7 @@ namespace nn {
 
 LinearLayer::LinearLayer(int in_dim, int out_dim, bool has_bias)
     : weight_(out_dim, in_dim),
-      weight_grad_(out_dim, in_dim),
       bias_(static_cast<size_t>(out_dim), 0.0f),
-      bias_grad_(static_cast<size_t>(out_dim), 0.0f),
       has_bias_(has_bias) {
   EVREC_CHECK_GT(in_dim, 0);
   EVREC_CHECK_GT(out_dim, 0);
@@ -26,108 +22,21 @@ void LinearLayer::Forward(const float* x, float* y) const {
   }
 }
 
-namespace {
-
-// Shared body of both Backward overloads: accumulate dW += dy x^T,
-// db += dy, and (when dx != nullptr) dx += W^T dy. The weight-gradient and
-// input-gradient rows are fused into one pass over x / W per output
-// coordinate (la::FusedGradInput), halving the memory traffic of the
-// separate AddOuter + GemvTransposedAccum sweeps.
-void BackwardInto(const la::Matrix& weight, bool has_bias, const float* x,
-                  const float* dy, float* dx, la::Matrix* weight_grad,
-                  std::vector<float>* bias_grad) {
-  const int out = weight.rows();
-  const int in = weight.cols();
-  if (dx != nullptr) {
-    for (int r = 0; r < out; ++r) {
-      if (dy[r] == 0.0f) continue;
-      la::FusedGradInput(dy[r], x, weight.Row(r), weight_grad->Row(r), dx,
-                         in);
-    }
-  } else {
-    weight_grad->AddOuter(1.0f, dy, x);
-  }
-  if (has_bias) {
-    la::Axpy(1.0f, dy, bias_grad->data(), out);
-  }
-}
-
-}  // namespace
-
-void LinearLayer::Backward(const float* x, const float* dy, float* dx) {
-  BackwardInto(weight_, has_bias_, x, dy, dx, &weight_grad_, &bias_grad_);
-}
-
+// The weight-gradient and input-gradient rows are fused into one pass over
+// x / W per output coordinate (la::FusedGradInput), halving the memory
+// traffic of separate outer-product and transposed-GEMV sweeps.
 void LinearLayer::Backward(const float* x, const float* dy, float* dx,
-                           Gradients* grads) const {
-  grads->used = true;
-  BackwardInto(weight_, has_bias_, x, dy, dx, &grads->weight, &grads->bias);
-}
-
-void LinearLayer::Gradients::Clear() {
-  weight.SetZero();
-  la::Zero(bias.data(), static_cast<int>(bias.size()));
-  used = false;
-}
-
-LinearLayer::Gradients LinearLayer::MakeGradients() const {
-  Gradients g;
-  g.weight = la::Matrix(weight_.rows(), weight_.cols());
-  if (has_bias_) g.bias.assign(bias_.size(), 0.0f);
-  return g;
-}
-
-void LinearLayer::AccumulateGradients(Gradients* grads) {
-  if (grads->used) {
-    weight_grad_.AddScaled(1.0f, grads->weight);
-    if (has_bias_) {
-      la::Axpy(1.0f, grads->bias.data(), bias_grad_.data(), out_dim());
-    }
-    grads->Clear();
+                           float* grad) const {
+  const int out = out_dim();
+  const int in = in_dim();
+  for (int r = 0; r < out; ++r) {
+    if (dy[r] == 0.0f) continue;
+    la::FusedGradInput(dy[r], x, weight_.Row(r),
+                       grad + static_cast<long>(r) * in, dx, in);
   }
-}
-
-void LinearLayer::EnableAdagrad() {
-  if (!adagrad_) {
-    weight_accum_ = la::Matrix(weight_.rows(), weight_.cols());
-    bias_accum_.assign(bias_.size(), 0.0f);
-    adagrad_ = true;
-  }
-}
-
-void LinearLayer::Step(float lr) {
-  constexpr float kEps = 1e-8f;
-  if (adagrad_) {
-    float* w = weight_.data();
-    float* g = weight_grad_.data();
-    float* a = weight_accum_.data();
-    size_t n = weight_.size();
-    for (size_t i = 0; i < n; ++i) {
-      a[i] += g[i] * g[i];
-      w[i] -= lr * g[i] / std::sqrt(a[i] + kEps);
-    }
-    weight_grad_.SetZero();
-    if (has_bias_) {
-      for (int i = 0; i < out_dim(); ++i) {
-        size_t si = static_cast<size_t>(i);
-        bias_accum_[si] += bias_grad_[si] * bias_grad_[si];
-        bias_[si] -= lr * bias_grad_[si] / std::sqrt(bias_accum_[si] + kEps);
-      }
-      la::Zero(bias_grad_.data(), out_dim());
-    }
-    return;
-  }
-  weight_.AddScaled(-lr, weight_grad_);
-  weight_grad_.SetZero();
   if (has_bias_) {
-    la::Axpy(-lr, bias_grad_.data(), bias_.data(), out_dim());
-    la::Zero(bias_grad_.data(), out_dim());
+    la::Axpy(1.0f, dy, grad + static_cast<long>(out) * in, out);
   }
-}
-
-void LinearLayer::ZeroGrad() {
-  weight_grad_.SetZero();
-  la::Zero(bias_grad_.data(), out_dim());
 }
 
 void LinearLayer::Serialize(BinaryWriter& w) const {
@@ -135,32 +44,6 @@ void LinearLayer::Serialize(BinaryWriter& w) const {
   w.WriteI32(has_bias_ ? 1 : 0);
   weight_.Serialize(w);
   w.WriteFloatVector(bias_);
-}
-
-void LinearLayer::SerializeOptimizer(BinaryWriter& w) const {
-  w.WriteMagic("LOPT");
-  w.WriteI32(adagrad_ ? 1 : 0);
-  if (adagrad_) {
-    weight_accum_.Serialize(w);
-    w.WriteFloatVector(bias_accum_);
-  }
-}
-
-void LinearLayer::DeserializeOptimizer(BinaryReader& r) {
-  r.ExpectMagic("LOPT");
-  int adagrad = r.ReadI32();
-  if (!r.ok() || adagrad == 0) return;
-  la::Matrix accum = la::Matrix::Deserialize(r);
-  std::vector<float> bias_accum = r.ReadFloatVector();
-  if (!r.ok()) return;
-  if (accum.rows() != weight_.rows() || accum.cols() != weight_.cols() ||
-      bias_accum.size() != bias_.size()) {
-    r.MarkCorrupt("optimizer state shape does not match layer");
-    return;
-  }
-  EnableAdagrad();
-  weight_accum_ = std::move(accum);
-  bias_accum_ = std::move(bias_accum);
 }
 
 LinearLayer LinearLayer::Deserialize(BinaryReader& r) {
@@ -173,7 +56,6 @@ LinearLayer LinearLayer::Deserialize(BinaryReader& r) {
   LinearLayer l(in_dim, out_dim, has_bias != 0);
   if (r.ok() && weight.rows() > 0) {
     l.weight_ = std::move(weight);
-    l.weight_grad_ = la::Matrix(l.weight_.rows(), l.weight_.cols());
     if (bias.size() == static_cast<size_t>(l.weight_.rows())) {
       l.bias_ = std::move(bias);
     }

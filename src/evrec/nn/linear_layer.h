@@ -1,17 +1,15 @@
-// Affine layer y = Wx + b with accumulated gradients. Forward is
-// re-entrant (no per-example state); the caller retains the input and
-// passes it back to Backward, which keeps the layer usable from several
-// contexts at once (needed by the Siamese pre-trainer, which pushes two
-// inputs through shared weights before stepping).
+// Affine layer y = Wx + b. Forward is re-entrant (no per-example state);
+// the caller retains the input and passes it back to Backward, which keeps
+// the layer usable from several contexts at once (needed by the Siamese
+// pre-trainer, which pushes two inputs through shared weights before
+// stepping).
 //
-// Gradient state comes in two flavors:
-//   * the layer's internal accumulator (the classic Backward/Step pair),
-//     used by the single-context training paths and by Step's optimizer;
-//   * an external LinearLayer::Gradients buffer, written by the const
-//     Backward overload. Data-parallel trainers give each shard its own
-//     buffer (parameters stay shared and read-only during the batch) and
-//     fold the buffers into the internal accumulator in fixed shard order
-//     via AccumulateGradients before a single Step.
+// The layer holds parameters only. Backward writes its gradient into a
+// slice of float storage the caller owns (one shard's buffer of the
+// owning model::Tower), so any number of threads may backprop through
+// the same read-only layer into disjoint buffers. Folding those buffers,
+// the optimizer step and the optimizer's checkpoint state belong to the
+// tower (model/tower.h).
 
 #ifndef EVREC_NN_LINEAR_LAYER_H_
 #define EVREC_NN_LINEAR_LAYER_H_
@@ -27,75 +25,39 @@ namespace nn {
 
 class LinearLayer {
  public:
-  // Detached gradient buffer for one layer (see file comment). `used`
-  // lets reducers skip buffers no pair of the shard ever touched.
-  struct Gradients {
-    la::Matrix weight;        // out x in
-    std::vector<float> bias;  // out (empty when the layer has no bias)
-    bool used = false;
-
-    void Clear();
-  };
-
   LinearLayer(int in_dim, int out_dim, bool has_bias = true);
 
   int in_dim() const { return weight_.cols(); }
   int out_dim() const { return weight_.rows(); }
+
+  // Floats in the layer's gradient slice: the out x in weight gradient
+  // (row-major), then out bias floats. A layer without a bias keeps the
+  // bias floats too; they stay zero.
+  int num_params() const { return out_dim() * (in_dim() + 1); }
 
   void XavierInit(Rng& rng);
 
   // y = Wx + b. `y` must hold out_dim floats.
   void Forward(const float* x, float* y) const;
 
-  // Accumulates dW += dy x^T, db += dy and, if dx != nullptr,
-  // dx += W^T dy. `x` must be the input passed to the matching Forward.
-  void Backward(const float* x, const float* dy, float* dx);
-
-  // Same math, but into an external buffer; the layer itself is untouched,
-  // so any number of threads may run this concurrently on disjoint
-  // buffers.
+  // Accumulates dW += dy x^T and db += dy into `grad` (num_params floats,
+  // laid out as above) and dx += W^T dy into `dx` (in_dim floats). `x`
+  // must be the input passed to the matching Forward.
   void Backward(const float* x, const float* dy, float* dx,
-                Gradients* grads) const;
-
-  // A zeroed buffer shaped for this layer.
-  Gradients MakeGradients() const;
-
-  // Folds `grads` into the internal accumulator and clears it. Call from
-  // one thread, in fixed shard order, for deterministic reduction.
-  void AccumulateGradients(Gradients* grads);
-
-  // Enables Adagrad updates (see EmbeddingTable::EnableAdagrad).
-  void EnableAdagrad();
-
-  // param -= lr * grad (Adagrad-scaled when enabled); clears gradients.
-  void Step(float lr);
-  void ZeroGrad();
+                float* grad) const;
 
   const la::Matrix& weight() const { return weight_; }
   la::Matrix& mutable_weight() { return weight_; }
   const std::vector<float>& bias() const { return bias_; }
   std::vector<float>& mutable_bias() { return bias_; }
-  const la::Matrix& weight_grad() const { return weight_grad_; }
-  const std::vector<float>& bias_grad() const { return bias_grad_; }
 
   void Serialize(BinaryWriter& w) const;
   static LinearLayer Deserialize(BinaryReader& r);
 
-  // Optimizer (Adagrad accumulator) state, kept out of Serialize so model
-  // artifacts stay lean; checkpoints persist it so a resumed run steps
-  // with the exact per-coordinate rates of the uninterrupted one.
-  void SerializeOptimizer(BinaryWriter& w) const;
-  void DeserializeOptimizer(BinaryReader& r);
-
  private:
   la::Matrix weight_;       // out x in
-  la::Matrix weight_grad_;  // out x in
-  la::Matrix weight_accum_;
-  std::vector<float> bias_;
-  std::vector<float> bias_grad_;
-  std::vector<float> bias_accum_;
+  std::vector<float> bias_;  // out (zero and untrained without a bias)
   bool has_bias_;
-  bool adagrad_ = false;
 };
 
 }  // namespace nn

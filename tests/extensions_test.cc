@@ -130,8 +130,12 @@ TEST(WeightedPairTest, ZeroWeightProducesNoGradientOrLoss) {
   std::vector<text::EncodedText> event = {MakeDoc({3, 4})};
   model::JointModel::PairContext ctx;
   double before = m.Similarity(user, event, &ctx);
-  double loss = m.AccumulatePairGradient(ctx, 1.0f, 0.0f);
+  model::JointModel::GradBuffer grads = m.MakeGradBuffer();
+  double loss = m.AccumulatePairGradient(ctx, 1.0f, 0.0f, &grads);
   EXPECT_EQ(loss, 0.0);
+  EXPECT_FALSE(grads.user.used);
+  EXPECT_FALSE(grads.event.used);
+  m.AccumulateGradients(&grads);
   m.Step(1.0f);  // nothing pending
   EXPECT_NEAR(m.Score(user, event), before, 1e-7);
 }
@@ -145,11 +149,16 @@ TEST(WeightedPairTest, WeightScalesLossLinearly) {
   std::vector<text::EncodedText> event = {MakeDoc({3, 4})};
   model::JointModel::PairContext ctx;
   m.Similarity(user, event, &ctx);
-  double full = m.AccumulatePairGradient(ctx, 1.0f, 1.0f);
-  m.ZeroGrad();
-  double half = m.AccumulatePairGradient(ctx, 1.0f, 0.5f);
-  m.ZeroGrad();
+  model::JointModel::GradBuffer full_grads = m.MakeGradBuffer();
+  model::JointModel::GradBuffer half_grads = m.MakeGradBuffer();
+  double full = m.AccumulatePairGradient(ctx, 1.0f, 1.0f, &full_grads);
+  double half = m.AccumulatePairGradient(ctx, 1.0f, 0.5f, &half_grads);
   EXPECT_NEAR(half, full * 0.5, 1e-12);
+  // The gradient scales with the weight too.
+  for (size_t i = 0; i < full_grads.event.dense.size(); ++i) {
+    EXPECT_NEAR(half_grads.event.dense[i], full_grads.event.dense[i] * 0.5f,
+                1e-6f);
+  }
 }
 
 // ---------- logistic regression ----------

@@ -206,13 +206,6 @@ TEST(KernelParityTest, MatrixKernelsBitIdentical) {
         ExpectBitEqual(g1.data(), g2.data(), cols,
                        "gemv_t_accum " + std::to_string(rows) + "x" +
                            std::to_string(cols));
-
-        std::vector<float> m1 = m, m2 = m;
-        t->add_outer(m1.data(), rows, cols, 0.37f, y.data(), x.data());
-        ref->add_outer(m2.data(), rows, cols, 0.37f, y.data(), x.data());
-        ExpectBitEqual(m1.data(), m2.data(), rows * cols,
-                       "add_outer " + std::to_string(rows) + "x" +
-                           std::to_string(cols));
       }
     }
   }

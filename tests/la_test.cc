@@ -94,28 +94,6 @@ TEST(MatrixTest, GemvTransposedAccumIsAdjointOfGemv) {
   EXPECT_NEAR(lhs, rhs, 1e-4);
 }
 
-TEST(MatrixTest, AddOuterMatchesManual) {
-  Matrix m(2, 2);
-  float y[2] = {1, 2};
-  float x[2] = {3, 4};
-  m.AddOuter(0.5f, y, x);
-  EXPECT_FLOAT_EQ(m.At(0, 0), 1.5f);
-  EXPECT_FLOAT_EQ(m.At(0, 1), 2.0f);
-  EXPECT_FLOAT_EQ(m.At(1, 0), 3.0f);
-  EXPECT_FLOAT_EQ(m.At(1, 1), 4.0f);
-}
-
-TEST(MatrixTest, AddScaledAndSetZero) {
-  Matrix a(2, 2), b(2, 2);
-  b.At(0, 0) = 2.0f;
-  b.At(1, 1) = 4.0f;
-  a.AddScaled(-0.5f, b);
-  EXPECT_FLOAT_EQ(a.At(0, 0), -1.0f);
-  EXPECT_FLOAT_EQ(a.At(1, 1), -2.0f);
-  a.SetZero();
-  EXPECT_FLOAT_EQ(a.At(0, 0), 0.0f);
-}
-
 TEST(MatrixTest, XavierInitWithinBound) {
   Rng rng(3);
   Matrix m(16, 16);

@@ -1,5 +1,6 @@
 // Tests for evrec/model: extraction banks, tower head (residual bypass),
-// towers, the joint model (cosine + Eq. 1 loss) with full-network gradient
+// towers and their optimizer (fold, SGD and Adagrad steps, optimizer
+// state), the joint model (cosine + Eq. 1 loss) with full-network gradient
 // checks, the trainer, Siamese pre-training, and Figure-7 attribution.
 
 #include <gtest/gtest.h>
@@ -129,15 +130,44 @@ TEST_P(TowerHeadGradTest, GradCheck) {
 
   TowerHead::Context ctx;
   head.Forward(x.data(), &ctx);
-  head.ZeroGrad();
   std::vector<float> dx(5, 0.0f);
-  head.Backward(w.data(), ctx, dx.data());
+  std::vector<float> grads(static_cast<size_t>(head.num_params()), 0.0f);
+  head.Backward(w.data(), ctx, dx.data(), grads.data());
 
   // Input gradient (flows through hidden layer and, if enabled, bypass).
   for (int i = 0; i < 5; ++i) {
     double num = nn::NumericGradient(loss, &x[static_cast<size_t>(i)]);
     EXPECT_LT(nn::RelativeError(num, dx[static_cast<size_t>(i)]), 5e-3)
         << "bypass=" << bypass << " x[" << i << "]";
+  }
+  // Parameter gradients, layer by layer in the buffer: hidden W1 (7x5),
+  // projection W2 (4x7), bypass W3 (4x5; zero when the bypass is off).
+  const size_t hidden = static_cast<size_t>(head.hidden_layer().num_params());
+  const size_t projection =
+      hidden + static_cast<size_t>(head.projection().num_params());
+  la::Matrix& w1 = head.hidden_layer().mutable_weight();
+  la::Matrix& w2 = head.projection().mutable_weight();
+  la::Matrix& w3 = head.bypass().mutable_weight();
+  for (int r = 0; r < 4; ++r) {
+    double num = nn::NumericGradient(loss, &w1.At(r, 2));
+    EXPECT_LT(nn::RelativeError(num, grads[static_cast<size_t>(r * 5 + 2)]),
+              5e-3)
+        << "bypass=" << bypass << " W1(" << r << ",2)";
+    num = nn::NumericGradient(loss, &w2.At(r, 3));
+    EXPECT_LT(nn::RelativeError(
+                  num, grads[hidden + static_cast<size_t>(r * 7 + 3)]),
+              5e-3)
+        << "bypass=" << bypass << " W2(" << r << ",3)";
+    num = nn::NumericGradient(loss, &w3.At(r, 1));
+    EXPECT_LT(nn::RelativeError(
+                  num, grads[projection + static_cast<size_t>(r * 5 + 1)]),
+              5e-3)
+        << "bypass=" << bypass << " W3(" << r << ",1)";
+  }
+  if (!bypass) {
+    for (size_t i = projection; i < grads.size(); ++i) {
+      EXPECT_EQ(grads[i], 0.0f);
+    }
   }
 }
 
@@ -210,8 +240,8 @@ TEST(JointModelTest, FullNetworkGradCheck) {
 
   JointModel::PairContext ctx;
   m.Similarity(user, event, &ctx);
-  m.ZeroGrad();
-  m.AccumulatePairGradient(ctx, label);
+  JointModel::GradBuffer grads = m.MakeGradBuffer();
+  m.AccumulatePairGradient(ctx, label, 1.0f, &grads);
 
   // Sample parameters from every component of both towers.
   auto& user_tower = m.mutable_user_tower();
@@ -219,27 +249,30 @@ TEST(JointModelTest, FullNetworkGradCheck) {
 
   // User text embedding row 5.
   {
-    auto table = user_tower.mutable_bank(0).shared_table();
+    nn::EmbeddingTable& table = user_tower.mutable_bank(0).table();
     for (int d = 0; d < cfg.embedding_dim; d += 2) {
-      double num = nn::NumericGradient(loss, &table->MutableVector(5)[d]);
-      EXPECT_LT(nn::RelativeError(num, table->GradRow(5)[d]), 1e-2)
+      double num = nn::NumericGradient(loss, &table.MutableVector(5)[d]);
+      EXPECT_LT(nn::RelativeError(num, grads.user.tables[0].Row(5)[d]), 1e-2)
           << "user emb d=" << d;
     }
   }
-  // Event conv weight of the window-2 module.
+  // Event conv weight of the window-2 module: its slice follows module 0's.
   {
-    auto& conv = event_tower.mutable_bank(0).mutable_module(1).mutable_conv();
+    ExtractionBank& bank = event_tower.mutable_bank(0);
+    nn::LinearLayer& conv = bank.conv(1);
+    const size_t offset = static_cast<size_t>(bank.conv(0).num_params());
     for (int r = 0; r < 3; ++r) {
       double num = nn::NumericGradient(loss, &conv.mutable_weight().At(r, 1));
-      EXPECT_LT(nn::RelativeError(num, conv.weight_grad().At(r, 1)), 1e-2)
+      const size_t at = offset + static_cast<size_t>(r * conv.in_dim() + 1);
+      EXPECT_LT(nn::RelativeError(num, grads.event.dense[at]), 1e-2)
           << "event conv r=" << r;
     }
   }
   // Categorical embedding row 0.
   {
-    auto table = user_tower.mutable_bank(1).shared_table();
-    double num = nn::NumericGradient(loss, &table->MutableVector(0)[0]);
-    EXPECT_LT(nn::RelativeError(num, table->GradRow(0)[0]), 1e-2);
+    nn::EmbeddingTable& table = user_tower.mutable_bank(1).table();
+    double num = nn::NumericGradient(loss, &table.MutableVector(0)[0]);
+    EXPECT_LT(nn::RelativeError(num, grads.user.tables[1].Row(0)[0]), 1e-2);
   }
 }
 
@@ -253,8 +286,11 @@ TEST(JointModelTest, NegativeBelowMarginProducesNoGradient) {
   JointModel::PairContext ctx;
   double sim = m.Similarity(user, event, &ctx);
   if (sim < 0.0) {  // only meaningful when the random sim is negative
-    double loss = m.AccumulatePairGradient(ctx, 0.0f);
+    JointModel::GradBuffer grads = m.MakeGradBuffer();
+    double loss = m.AccumulatePairGradient(ctx, 0.0f, 1.0f, &grads);
     EXPECT_EQ(loss, 0.0);
+    EXPECT_FALSE(grads.user.used);
+    EXPECT_FALSE(grads.event.used);
   }
 }
 
@@ -278,6 +314,170 @@ TEST(JointModelTest, SerializeRoundTripPreservesSimilarity) {
   EXPECT_NEAR(loaded.Score(user, event), before, 1e-6);
   EXPECT_EQ(loaded.config().rep_dim, cfg.rep_dim);
   std::remove(path.c_str());
+}
+
+// ---------- tower optimizer ----------
+
+// One bank (vocab 4, 1-d tokens, one window-1 module) and 1-wide layers.
+// Parameter order: the table, then conv W b, hidden W b, projection W b
+// and bypass W b, so GradBuffer::dense holds 8 floats.
+Tower OneWideTower(bool residual_bypass) {
+  return Tower({4}, {{1}}, 1, 1, 1, 1, nn::PoolType::kLogSumExp,
+               residual_bypass);
+}
+
+float ConvWeight(const Tower& t) {
+  return t.bank(0).conv(0).weight().At(0, 0);
+}
+
+float TableValue(const Tower& t, int id) {
+  return t.bank(0).table().Vector(id)[0];
+}
+
+// Adds `conv` to the conv weight's gradient and `row` to table row 1's.
+void WriteGradient(const Tower& t, float conv, float row,
+                   Tower::GradBuffer* grads) {
+  grads->dense[0] += conv;
+  t.bank(0).table().AccumulateGrad(1, &row, &grads->tables[0]);
+  grads->used = true;
+}
+
+TEST(TowerOptimizerTest, BufferFollowsTheParameterList) {
+  Tower t = OneWideTower(false);
+  Tower::GradBuffer g = t.MakeGradBuffer();
+  EXPECT_EQ(g.dense.size(), 8u);
+  ASSERT_EQ(g.tables.size(), 1u);
+  EXPECT_EQ(g.tables[0].grad.rows(), 4);
+  EXPECT_EQ(g.tables[0].grad.cols(), 1);
+}
+
+TEST(TowerOptimizerTest, SgdStepsTheShardSumOnceAndClears) {
+  Tower t = OneWideTower(false);
+  Rng rng(91);
+  t.RandomInit(rng);
+  const float w0 = ConvWeight(t);
+  const float e0 = TableValue(t, 1);
+  const float e2 = TableValue(t, 2);
+  Tower::GradBuffer a = t.MakeGradBuffer();
+  Tower::GradBuffer b = t.MakeGradBuffer();
+  WriteGradient(t, 1.0f, 2.0f, &a);
+  WriteGradient(t, 2.0f, 1.0f, &b);
+  t.AccumulateGradients(&a);
+  t.AccumulateGradients(&b);
+  // Folding clears each shard buffer: values, touched rows and the flag.
+  EXPECT_FALSE(a.used);
+  EXPECT_EQ(a.dense[0], 0.0f);
+  EXPECT_TRUE(a.tables[0].touched.empty());
+  EXPECT_EQ(a.tables[0].is_touched[1], 0);
+  EXPECT_EQ(a.tables[0].Row(1)[0], 0.0f);
+  t.Step(0.1f);
+  EXPECT_FLOAT_EQ(ConvWeight(t), w0 - 0.1f * 3.0f);
+  EXPECT_FLOAT_EQ(TableValue(t, 1), e0 - 0.1f * 3.0f);
+  EXPECT_EQ(TableValue(t, 2), e2);  // untouched row
+  // Nothing pending: a second step changes nothing.
+  t.Step(0.1f);
+  EXPECT_FLOAT_EQ(ConvWeight(t), w0 - 0.1f * 3.0f);
+  EXPECT_FLOAT_EQ(TableValue(t, 1), e0 - 0.1f * 3.0f);
+}
+
+TEST(TowerOptimizerTest, UnwrittenBufferIsSkipped) {
+  Tower t = OneWideTower(false);
+  const float w0 = ConvWeight(t);
+  Tower::GradBuffer g = t.MakeGradBuffer();
+  g.dense[0] = 5.0f;  // no Backward marked the buffer used
+  t.AccumulateGradients(&g);
+  t.Step(1.0f);
+  EXPECT_EQ(ConvWeight(t), w0);
+}
+
+TEST(TowerOptimizerTest, AdagradScalesByAccumulatedSquares) {
+  Tower t = OneWideTower(false);
+  t.EnableAdagrad();
+  Tower::GradBuffer g = t.MakeGradBuffer();
+  WriteGradient(t, 2.0f, 2.0f, &g);
+  t.AccumulateGradients(&g);
+  t.Step(0.1f);
+  // First step: accum = 4, update = 0.1 * 2 / sqrt(4) = 0.1.
+  EXPECT_NEAR(ConvWeight(t), -0.1f, 1e-6);
+  EXPECT_NEAR(TableValue(t, 1), -0.1f, 1e-6);
+  WriteGradient(t, 2.0f, 2.0f, &g);
+  t.AccumulateGradients(&g);
+  t.Step(0.1f);
+  // Second step: accum = 8, update = 0.1 * 2 / sqrt(8): the rate decays.
+  EXPECT_NEAR(ConvWeight(t), -0.1f - 0.2f / std::sqrt(8.0f), 1e-6);
+  EXPECT_NEAR(TableValue(t, 1), -0.1f - 0.2f / std::sqrt(8.0f), 1e-6);
+}
+
+TEST(TowerOptimizerTest, OptimizerRecordsFollowTheParameterList) {
+  // One EOPT record for the table, then LOPT records for conv, hidden,
+  // projection and bypass; the bypass record says off when the bypass is.
+  const std::string path = testing::TempDir() + "/evrec_tower_records.bin";
+  Tower t = OneWideTower(false);
+  t.EnableAdagrad();
+  {
+    BinaryWriter w(path);
+    t.SerializeOptimizer(w);
+    ASSERT_TRUE(w.Close().ok());
+  }
+  BinaryReader r(path);
+  r.ExpectMagic("EOPT");
+  EXPECT_EQ(r.ReadI32(), 1);
+  EXPECT_EQ(la::Matrix::Deserialize(r).rows(), 4);
+  for (int layer = 0; layer < 3; ++layer) {
+    r.ExpectMagic("LOPT");
+    EXPECT_EQ(r.ReadI32(), 1) << "layer " << layer;
+    EXPECT_EQ(la::Matrix::Deserialize(r).size(), 1u);
+    EXPECT_EQ(r.ReadFloatVector().size(), 1u);
+  }
+  r.ExpectMagic("LOPT");
+  EXPECT_EQ(r.ReadI32(), 0);  // the disabled bypass
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(TowerOptimizerTest, OptimizerStateRoundTripsAndRejectsWrongShape) {
+  const std::string model_path = testing::TempDir() + "/evrec_tower_m.bin";
+  const std::string opt_path = testing::TempDir() + "/evrec_tower_opt.bin";
+  Tower t = OneWideTower(true);
+  Rng rng(92);
+  t.RandomInit(rng);
+  t.EnableAdagrad();
+  Tower::GradBuffer g = t.MakeGradBuffer();
+  WriteGradient(t, 2.0f, 1.5f, &g);
+  t.AccumulateGradients(&g);
+  t.Step(0.1f);
+  {
+    BinaryWriter w(model_path);
+    t.Serialize(w);
+    ASSERT_TRUE(w.Close().ok());
+    BinaryWriter wo(opt_path);
+    t.SerializeOptimizer(wo);
+    ASSERT_TRUE(wo.Close().ok());
+  }
+  // A tower restored from both files steps exactly like the original.
+  BinaryReader rm(model_path);
+  Tower resumed = Tower::Deserialize(rm);
+  ASSERT_TRUE(rm.ok());
+  BinaryReader ro(opt_path);
+  resumed.DeserializeOptimizer(ro);
+  ASSERT_TRUE(ro.ok());
+  for (Tower* tower : {&t, &resumed}) {
+    Tower::GradBuffer step = tower->MakeGradBuffer();
+    WriteGradient(*tower, 0.5f, -1.0f, &step);
+    tower->AccumulateGradients(&step);
+    tower->Step(0.1f);
+  }
+  EXPECT_EQ(ConvWeight(resumed), ConvWeight(t));
+  EXPECT_EQ(TableValue(resumed, 1), TableValue(t, 1));
+
+  // A tower of another shape refuses the state.
+  Tower other({5}, {{1}}, 1, 1, 1, 1, nn::PoolType::kLogSumExp, true);
+  BinaryReader bad(opt_path);
+  other.DeserializeOptimizer(bad);
+  EXPECT_FALSE(bad.ok());
+  std::remove(model_path.c_str());
+  std::remove(opt_path.c_str());
 }
 
 // ---------- trainer on a separable toy problem ----------
@@ -511,12 +711,12 @@ TEST(TowerNormalizerTest, GradCheckThroughNormalizer) {
   };
   JointModel::PairContext ctx;
   m.Similarity(user, event, &ctx);
-  m.ZeroGrad();
-  m.AccumulatePairGradient(ctx, 1.0f);
-  auto table = m.mutable_user_tower().mutable_bank(0).shared_table();
+  JointModel::GradBuffer grads = m.MakeGradBuffer();
+  m.AccumulatePairGradient(ctx, 1.0f, 1.0f, &grads);
+  nn::EmbeddingTable& table = m.mutable_user_tower().mutable_bank(0).table();
   for (int d = 0; d < cfg.embedding_dim; d += 2) {
-    double num = nn::NumericGradient(loss, &table->MutableVector(5)[d]);
-    EXPECT_LT(nn::RelativeError(num, table->GradRow(5)[d]), 1e-2)
+    double num = nn::NumericGradient(loss, &table.MutableVector(5)[d]);
+    EXPECT_LT(nn::RelativeError(num, grads.user.tables[0].Row(5)[d]), 1e-2)
         << "normalized-path emb grad d=" << d;
   }
 }

@@ -1,6 +1,7 @@
 // Tests for evrec/nn: embedding table, linear layer, and the convolutional
 // text module. Every backward pass is validated against central-difference
 // numeric gradients (the correctness evidence a from-scratch NN needs).
+// The optimizer step lives in model::Tower and is tested in model_test.
 
 #include <gtest/gtest.h>
 
@@ -45,41 +46,34 @@ double WeightedLoss(const std::vector<float>& out,
 
 // ---------- EmbeddingTable ----------
 
-TEST(EmbeddingTableTest, AccumulateAndStep) {
+TEST(EmbeddingTableTest, AccumulateGradTouchesEachRowOnce) {
   EmbeddingTable t(4, 3);
-  float g[3] = {1.0f, 2.0f, 3.0f};
-  t.AccumulateGrad(2, g);
-  t.AccumulateGrad(2, g, 0.5f);
-  EXPECT_EQ(t.num_touched(), 1);
-  float before = t.Vector(2)[1];
-  t.Step(0.1f);
-  // row2 -= 0.1 * 1.5*g
-  EXPECT_NEAR(t.Vector(2)[1], before - 0.1f * 3.0f, 1e-6);
-  EXPECT_EQ(t.num_touched(), 0);
-  // Untouched row unchanged.
-  EXPECT_FLOAT_EQ(t.Vector(0)[0], 0.0f);
+  EmbeddingTable::Gradients g(4, 3);
+  float a[3] = {1.0f, 2.0f, 3.0f};
+  t.AccumulateGrad(2, a, &g);
+  t.AccumulateGrad(2, a, &g);
+  EXPECT_EQ(g.touched, std::vector<int>({2}));
+  EXPECT_FLOAT_EQ(g.Row(2)[1], 4.0f);
+  EXPECT_FLOAT_EQ(g.Row(0)[0], 0.0f);  // untouched row
+  // The table itself is read-only during backward.
+  EXPECT_FLOAT_EQ(t.Vector(2)[1], 0.0f);
 }
 
-TEST(EmbeddingTableTest, ZeroGradClearsWithoutUpdating) {
+TEST(EmbeddingTableTest, ClearZeroesOnlyTouchedRowsAndForgetsThem) {
   EmbeddingTable t(4, 2);
-  Rng rng(1);
-  t.RandomInit(rng);
-  float before = t.Vector(1)[0];
-  float g[2] = {5.0f, 5.0f};
-  t.AccumulateGrad(1, g);
-  t.ZeroGrad();
-  t.Step(1.0f);  // nothing pending
-  EXPECT_FLOAT_EQ(t.Vector(1)[0], before);
-}
-
-TEST(EmbeddingTableTest, StepAfterZeroGradStartsFresh) {
-  EmbeddingTable t(4, 2);
-  float g[2] = {1.0f, 0.0f};
-  t.AccumulateGrad(0, g);
-  t.ZeroGrad();
-  t.AccumulateGrad(0, g);
-  t.Step(1.0f);
-  EXPECT_FLOAT_EQ(t.Vector(0)[0], -1.0f);  // single accumulation applied
+  EmbeddingTable::Gradients g(4, 2);
+  float a[2] = {5.0f, 5.0f};
+  t.AccumulateGrad(1, a, &g);
+  g.Clear();
+  EXPECT_TRUE(g.touched.empty());
+  EXPECT_EQ(g.is_touched[1], 0);
+  EXPECT_FLOAT_EQ(g.Row(1)[0], 0.0f);
+  // A cleared buffer starts fresh: the next gradient is not summed onto
+  // the old one.
+  float b[2] = {1.0f, 0.0f};
+  t.AccumulateGrad(1, b, &g);
+  EXPECT_EQ(g.touched, std::vector<int>({1}));
+  EXPECT_FLOAT_EQ(g.Row(1)[0], 1.0f);
 }
 
 TEST(EmbeddingTableTest, SerializeRoundTrip) {
@@ -134,21 +128,23 @@ TEST(LinearLayerTest, GradCheckWeightsBiasInput) {
     return WeightedLoss({y[0], y[1], y[2]}, w);
   };
 
-  // Analytic gradients.
-  l.ZeroGrad();
+  // Analytic gradients: weight (row-major) then bias.
+  ASSERT_EQ(l.num_params(), 3 * 4 + 3);
+  std::vector<float> grad(static_cast<size_t>(l.num_params()), 0.0f);
   std::vector<float> dx(4, 0.0f);
   float y[3];
   l.Forward(x.data(), y);
-  l.Backward(x.data(), w.data(), dx.data());
+  l.Backward(x.data(), w.data(), dx.data(), grad.data());
 
   for (int r = 0; r < 3; ++r) {
     for (int c = 0; c < 4; ++c) {
       double num = NumericGradient(loss, &l.mutable_weight().At(r, c));
-      EXPECT_LT(RelativeError(num, l.weight_grad().At(r, c)), 2e-3)
+      EXPECT_LT(RelativeError(num, grad[static_cast<size_t>(r * 4 + c)]),
+                2e-3)
           << "W(" << r << "," << c << ")";
     }
     double num_b = NumericGradient(loss, &l.mutable_bias()[r]);
-    EXPECT_LT(RelativeError(num_b, l.bias_grad()[r]), 2e-3);
+    EXPECT_LT(RelativeError(num_b, grad[static_cast<size_t>(12 + r)]), 2e-3);
   }
   for (int i = 0; i < 4; ++i) {
     double num = NumericGradient(loss, &x[static_cast<size_t>(i)]);
@@ -156,17 +152,19 @@ TEST(LinearLayerTest, GradCheckWeightsBiasInput) {
   }
 }
 
-TEST(LinearLayerTest, StepAppliesAndClears) {
+TEST(LinearLayerTest, BackwardAccumulatesIntoTheBuffer) {
   LinearLayer l(1, 1);
   l.mutable_weight().At(0, 0) = 1.0f;
   float x[1] = {2.0f};
   float dy[1] = {3.0f};
-  l.Backward(x, dy, nullptr);
-  l.Step(0.1f);
-  EXPECT_NEAR(l.weight().At(0, 0), 1.0f - 0.1f * 6.0f, 1e-6);
-  // Second step without new grads: no change.
-  l.Step(0.1f);
-  EXPECT_NEAR(l.weight().At(0, 0), 0.4f, 1e-6);
+  float dx[1] = {0.0f};
+  float grad[2] = {0.0f, 0.0f};
+  l.Backward(x, dy, dx, grad);
+  l.Backward(x, dy, dx, grad);
+  EXPECT_FLOAT_EQ(grad[0], 12.0f);  // 2 x dy*x
+  EXPECT_FLOAT_EQ(grad[1], 6.0f);   // 2 x dy
+  EXPECT_FLOAT_EQ(dx[0], 6.0f);     // 2 x W*dy
+  EXPECT_FLOAT_EQ(l.weight().At(0, 0), 1.0f);  // parameters untouched
 }
 
 TEST(LinearLayerTest, NoBiasVariant) {
@@ -177,6 +175,13 @@ TEST(LinearLayerTest, NoBiasVariant) {
   float y[1];
   l.Forward(x, y);
   EXPECT_FLOAT_EQ(y[0], 2.0f);
+  // The bias floats of the gradient slice stay zero.
+  float dy[1] = {1.0f};
+  float dx[2] = {0.0f, 0.0f};
+  float grad[3] = {0.0f, 0.0f, 0.0f};
+  l.Backward(x, dy, dx, grad);
+  EXPECT_FLOAT_EQ(grad[0], 1.0f);
+  EXPECT_FLOAT_EQ(grad[2], 0.0f);
 }
 
 TEST(LinearLayerTest, SerializeRoundTrip) {
@@ -214,8 +219,12 @@ TEST(ConvTextModuleTest, EmptyInputYieldsZeroOutput) {
   for (float v : ctx.output) EXPECT_FLOAT_EQ(v, 0.0f);
   // Backward on empty input is a no-op (no crash, no grads).
   std::vector<float> dout(5, 1.0f);
-  m.Backward(dout.data(), ctx);
-  EXPECT_EQ(table->num_touched(), 0);
+  std::vector<float> conv_grad(static_cast<size_t>(m.conv().num_params()),
+                               0.0f);
+  EmbeddingTable::Gradients table_grad(10, 4);
+  m.Backward(dout.data(), ctx, conv_grad.data(), &table_grad);
+  EXPECT_TRUE(table_grad.touched.empty());
+  for (float g : conv_grad) EXPECT_EQ(g, 0.0f);
 }
 
 TEST(ConvTextModuleTest, ShortInputPaddedToOneWindow) {
@@ -305,27 +314,31 @@ TEST_P(ConvGradCheckTest, BackwardMatchesNumeric) {
 
   ConvContext ctx;
   m.Forward(input, &ctx);
-  m.ZeroGrad();
-  table->ZeroGrad();
-  m.Backward(w.data(), ctx);
+  const int in = m.conv().in_dim();
+  std::vector<float> conv_grad(static_cast<size_t>(m.conv().num_params()),
+                               0.0f);
+  EmbeddingTable::Gradients table_grad(8, 3);
+  m.Backward(w.data(), ctx, conv_grad.data(), &table_grad);
 
-  // Convolution weights (sample a few entries).
+  // Convolution weights (sample a few entries), then the bias.
   for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < m.conv().in_dim(); c += 2) {
+    for (int c = 0; c < in; c += 2) {
       double num =
           NumericGradient(loss, &m.mutable_conv().mutable_weight().At(r, c));
-      EXPECT_LT(RelativeError(num, m.conv().weight_grad().At(r, c)), 5e-3)
+      EXPECT_LT(RelativeError(num, conv_grad[static_cast<size_t>(r * in + c)]),
+                5e-3)
           << "pool=" << PoolTypeName(pool) << " window=" << window << " ("
           << r << "," << c << ")";
     }
     double numb = NumericGradient(loss, &m.mutable_conv().mutable_bias()[r]);
-    EXPECT_LT(RelativeError(numb, m.conv().bias_grad()[r]), 5e-3);
+    EXPECT_LT(RelativeError(numb, conv_grad[static_cast<size_t>(4 * in + r)]),
+              5e-3);
   }
   // Embedding rows used by the input.
   for (int id : {1, 3, 5}) {
     for (int d = 0; d < 3; ++d) {
       double num = NumericGradient(loss, &table->MutableVector(id)[d]);
-      EXPECT_LT(RelativeError(num, table->GradRow(id)[d]), 5e-3)
+      EXPECT_LT(RelativeError(num, table_grad.Row(id)[d]), 5e-3)
           << "emb id=" << id << " d=" << d;
     }
   }
@@ -353,12 +366,14 @@ TEST(ConvTextModuleTest, RepeatedTokenAccumulatesEmbeddingGrad) {
   };
   ConvContext ctx;
   m.Forward(input, &ctx);
-  table->ZeroGrad();
-  m.ZeroGrad();
-  m.Backward(w.data(), ctx);
+  std::vector<float> conv_grad(static_cast<size_t>(m.conv().num_params()),
+                               0.0f);
+  EmbeddingTable::Gradients table_grad(4, 2);
+  m.Backward(w.data(), ctx, conv_grad.data(), &table_grad);
+  EXPECT_EQ(table_grad.touched, std::vector<int>({1}));
   for (int d = 0; d < 2; ++d) {
     double num = NumericGradient(loss, &table->MutableVector(1)[d]);
-    EXPECT_LT(RelativeError(num, table->GradRow(1)[d]), 5e-3);
+    EXPECT_LT(RelativeError(num, table_grad.Row(1)[d]), 5e-3);
   }
 }
 
@@ -475,46 +490,6 @@ TEST(FeatureNormTest, SerializeRoundTrip) {
   EXPECT_FLOAT_EQ(y1[0], y2[0]);
   EXPECT_FLOAT_EQ(y1[1], y2[1]);
   std::remove(path.c_str());
-}
-
-// ---------- Adagrad ----------
-
-TEST(AdagradTest, EmbeddingStepScalesByAccumulator) {
-  EmbeddingTable t(2, 1);
-  t.EnableAdagrad();
-  float g[1] = {2.0f};
-  t.AccumulateGrad(0, g);
-  t.Step(0.1f);
-  // First step: accum = 4, update = 0.1 * 2 / sqrt(4) = 0.1.
-  EXPECT_NEAR(t.Vector(0)[0], -0.1f, 1e-6);
-  t.AccumulateGrad(0, g);
-  t.Step(0.1f);
-  // Second step: accum = 8, update = 0.1 * 2 / sqrt(8).
-  EXPECT_NEAR(t.Vector(0)[0], -0.1f - 0.2f / std::sqrt(8.0f), 1e-6);
-}
-
-TEST(AdagradTest, LinearLayerAdagradShrinksRepeatedUpdates) {
-  LinearLayer l(1, 1, /*has_bias=*/false);
-  l.mutable_weight().At(0, 0) = 0.0f;
-  l.EnableAdagrad();
-  float x[1] = {1.0f};
-  float dy[1] = {1.0f};
-  l.Backward(x, dy, nullptr);
-  l.Step(1.0f);
-  float first_step = -l.weight().At(0, 0);
-  l.Backward(x, dy, nullptr);
-  l.Step(1.0f);
-  float second_step = -l.weight().At(0, 0) - first_step;
-  EXPECT_GT(first_step, second_step);  // adaptive rate decays
-  EXPECT_NEAR(first_step, 1.0f, 1e-4);
-}
-
-TEST(AdagradTest, SgdPathUnchangedWhenDisabled) {
-  EmbeddingTable t(1, 1);
-  float g[1] = {2.0f};
-  t.AccumulateGrad(0, g);
-  t.Step(0.1f);
-  EXPECT_NEAR(t.Vector(0)[0], -0.2f, 1e-7);
 }
 
 // ---------- grad_check itself ----------

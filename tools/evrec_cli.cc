@@ -15,12 +15,13 @@
 //   search --data DIR --model FILE --event ID [--k K]
 //       Related-event search: the K events nearest to a seed event by
 //       exact representation cosine.
-//   serve-demo [--users N] [--events N] [--seed S] [--error-rate P]
+//   serve-demo [--seed S] [--epochs N] [--threads N] [--error-rate P]
 //              [--spike-rate P] [--spike-us U] [--corrupt-rate P]
 //              [--budget-us U]
-//       Train a small end-to-end system, then replay the week-6
-//       impression log through the fault-tolerant RecommendationService
-//       with the given fault-injection profile, on a simulated clock.
+//       Train a small end-to-end system (on the tiny world, for at most 4
+//       epochs), then replay the week-6 impression log through the
+//       fault-tolerant RecommendationService with the given
+//       fault-injection profile, on a simulated clock.
 //       Prints the degradation-tier breakdown and retry/breaker counters.
 //   metrics [same flags as serve-demo] [--json FILE]
 //       Same fault-storm replay, but with the process-wide observability
@@ -57,9 +58,10 @@
 //       slowest spans, and a self-time flat profile. Exit 1 if the file
 //       is malformed.
 //
-// Exit status 0 on success; 2 on a bad flag (unknown, missing its value,
-// malformed or out of range; the message names the flag); 1 on any other
-// failure.
+// Each subcommand accepts only the flags it reads (SubcommandFlags).
+// Exit status 0 on success; 2 on a bad flag (unknown, not taken by the
+// subcommand, missing its value, malformed or out of range; the message
+// names the flag); 1 on any other failure.
 
 #include <algorithm>
 #include <cstdio>
@@ -128,17 +130,25 @@ struct Args {
   // metrics/monitor exposition format: "text" or "openmetrics".
   std::string format = "text";
 
-  // Parses argv[start..]. A flag that is unknown, lacks its value, or
-  // whose value is not one whole number in the flag's range prints a
-  // message naming the flag and returns false (the caller exits 2).
-  static bool Parse(int argc, char** argv, Args* out_args,
-                    int start = 2) {
+  // Parses argv[start..] for subcommand `cmd`, which takes the flags in
+  // `accepted` (space-separated, see SubcommandFlags). A flag outside
+  // that set, a flag lacking its value, or a value that is not one whole
+  // number in the flag's range prints a message naming the flag and
+  // returns false (the caller exits 2).
+  static bool Parse(int argc, char** argv, const std::string& cmd,
+                    const std::string& accepted, Args* out_args,
+                    int start) {
     constexpr int kIntMax = std::numeric_limits<int>::max();
     constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
     constexpr uint64_t kUint64Max = std::numeric_limits<uint64_t>::max();
     Args& a = *out_args;
     for (int i = start; i < argc; ++i) {
       const std::string flag = argv[i];
+      if (accepted.find(" " + flag + " ") == std::string::npos) {
+        std::fprintf(stderr, "evrec_cli: %s does not take the flag %s\n",
+                     cmd.c_str(), flag.c_str());
+        return false;
+      }
       if (flag == "--siamese") {
         a.siamese = true;
         continue;
@@ -310,13 +320,12 @@ struct LoadedSystem {
   }
 };
 
-model::JointModelConfig CliModelConfig(int epochs) {
+model::JointModelConfig CliModelConfig() {
   model::JointModelConfig cfg;
   cfg.embedding_dim = 32;
   cfg.module_out_dim = 32;
   cfg.hidden_dim = 128;
   cfg.rep_dim = 64;
-  cfg.max_epochs = epochs;
   cfg.early_stop_patience = 3;
   return cfg;
 }
@@ -348,7 +357,8 @@ int CmdTrain(const Args& args) {
     std::fprintf(stderr, "train: --data DIR and --model FILE required\n");
     return 1;
   }
-  model::JointModelConfig cfg = CliModelConfig(args.epochs);
+  model::JointModelConfig cfg = CliModelConfig();
+  cfg.max_epochs = args.epochs;
   auto sys = LoadedSystem::Load(args.data, cfg);
   if (!sys.ok()) {
     std::fprintf(stderr, "load failed: %s\n",
@@ -419,8 +429,7 @@ int CmdTrain(const Args& args) {
 }
 
 StatusOr<LoadedSystem> LoadWithModel(const Args& args) {
-  model::JointModelConfig cfg = CliModelConfig(args.epochs);
-  auto sys = LoadedSystem::Load(args.data, cfg);
+  auto sys = LoadedSystem::Load(args.data, CliModelConfig());
   if (!sys.ok()) return sys.status();
   BinaryReader reader(args.model);
   model::JointModel loaded = model::JointModel::Deserialize(reader);
@@ -1049,6 +1058,29 @@ int CmdProfile(const std::string& path, const Args& args) {
   return 0;
 }
 
+// The flags each subcommand reads, space-separated and space-bounded;
+// empty for an unknown subcommand. metrics and monitor replay
+// serve-demo's system, so they take its flags too.
+std::string SubcommandFlags(const std::string& cmd) {
+  const std::string serve_demo =
+      " --seed --epochs --threads --error-rate --spike-rate --spike-us"
+      " --corrupt-rate --budget-us --trace-out --trace-sample --trace-seed"
+      " --profile-out --profile-hz ";
+  if (cmd == "generate") return " --out --users --events --seed ";
+  if (cmd == "train") {
+    return " --data --model --epochs --siamese --threads --checkpoint-dir"
+           " --checkpoint-every --resume ";
+  }
+  if (cmd == "eval") return " --data --model --features ";
+  if (cmd == "search") return " --data --model --event --k ";
+  if (cmd == "serve-demo") return serve_demo;
+  if (cmd == "metrics") return serve_demo + "--json --format --out ";
+  if (cmd == "monitor") return serve_demo + "--out ";
+  if (cmd == "trace") return " --top ";
+  if (cmd == "profile") return " --top --folded ";
+  return "";
+}
+
 void Usage() {
   std::fprintf(
       stderr,
@@ -1074,7 +1106,8 @@ void Usage() {
       "  eval       --data DIR --model FILE [--features base+cf+rep+score]\n"
       "  search     --data DIR --model FILE --event ID [--k K]\n"
       "             (exact cosine; ties by ascending event id)\n"
-      "  serve-demo [--seed S] [--error-rate P] [--spike-rate P]\n"
+      "  serve-demo [--seed S] [--epochs N] [--threads N]\n"
+      "             [--error-rate P] [--spike-rate P]\n"
       "             [--spike-us U] [--corrupt-rate P] [--budget-us U]\n"
       "             [--trace-out FILE] [--trace-sample P] [--trace-seed S]\n"
       "             [--profile-out FILE] [--profile-hz N]\n"
@@ -1091,8 +1124,8 @@ void Usage() {
       "  profile    FILE [--top N] [--folded]  (top-N self/total time and\n"
       "             allocation tables; --folded emits flamegraph input)\n"
       "\n"
-      "A numeric flag must be one whole number in its range; a bad flag\n"
-      "exits 2.\n");
+      "Each subcommand takes only the flags listed for it. A numeric flag\n"
+      "must be one whole number in its range; a bad flag exits 2.\n");
 }
 
 }  // namespace
@@ -1103,23 +1136,22 @@ int main(int argc, char** argv) {
     return 1;
   }
   SetLogLevel(LogLevel::kWarn);
-  std::string cmd = argv[1];
-  if (cmd == "trace" || cmd == "profile") {
-    // Positional file argument, then flags.
-    if (argc < 3 || argv[2][0] == '-') {
-      Usage();
-      return 1;
-    }
-    Args args;
-    if (!Args::Parse(argc, argv, &args, /*start=*/3)) {
-      Usage();
-      return 2;
-    }
-    return cmd == "trace" ? CmdTrace(argv[2], args)
-                          : CmdProfile(argv[2], args);
+  const std::string cmd = argv[1];
+  const std::string accepted = SubcommandFlags(cmd);
+  if (accepted.empty()) {
+    std::fprintf(stderr, "evrec_cli: unknown subcommand '%s'\n\n",
+                 cmd.c_str());
+    Usage();
+    return 1;
+  }
+  // trace and profile take a positional file argument before the flags.
+  const bool file_arg = cmd == "trace" || cmd == "profile";
+  if (file_arg && (argc < 3 || argv[2][0] == '-')) {
+    Usage();
+    return 1;
   }
   Args args;
-  if (!Args::Parse(argc, argv, &args)) {
+  if (!Args::Parse(argc, argv, cmd, accepted, &args, file_arg ? 3 : 2)) {
     Usage();
     return 2;
   }
@@ -1130,8 +1162,6 @@ int main(int argc, char** argv) {
   if (cmd == "serve-demo") return CmdServeDemo(args);
   if (cmd == "metrics") return CmdMetrics(args);
   if (cmd == "monitor") return CmdMonitor(args);
-  std::fprintf(stderr, "evrec_cli: unknown subcommand '%s'\n\n",
-               cmd.c_str());
-  Usage();
-  return 1;
+  if (cmd == "trace") return CmdTrace(argv[2], args);
+  return CmdProfile(argv[2], args);
 }

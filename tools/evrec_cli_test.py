@@ -6,7 +6,10 @@
 Every numeric flag value must be one whole number in the flag's range, and
 --features must join known feature-set names with '+': a malformed,
 out-of-range, unknown or value-less flag exits 2 with a message naming the
-flag. On a tiny generated dataset, `search` must rank every
+flag. Each subcommand takes only the flags it reads: any other flag exits 2
+naming the flag and the subcommand, while every numeric flag a subcommand
+documents, and every invocation in CI and tools/check.sh, is accepted.
+On a tiny generated dataset, `search` must rank every
 other event exactly: with k past the number of events it lists all of
 them, by non-increasing cosine, and a smaller k prints a prefix of that
 list. Exits non-zero on the first failed check.
@@ -76,6 +79,61 @@ def main():
     ]
     for args, flag in bad_flags:
         expect(args, 2, " ".join(repr(a) for a in args), flag)
+
+    # A flag another subcommand reads is refused, naming both.
+    refused = [
+        (["generate", "--out", "d", "--users", "30", "--events", "30",
+          "--k", "5", "--budget-us", "7", "--profile-hz", "3"], "--k"),
+        (["serve-demo", "--users", "30", "--events", "30"], "--users"),
+        (["eval", "--epochs", "3"], "--epochs"),
+        (["metrics", "--k", "3"], "--k"),
+        (["trace", "t.json", "--folded"], "--folded"),
+    ]
+    for args, flag in refused:
+        expect(args, 2, " ".join(repr(a) for a in args),
+               f"{args[0]} does not take the flag {flag}")
+
+    # Every numeric flag a subcommand documents is accepted: a malformed
+    # value reaches the flag's own check instead of being refused, so no
+    # command runs.
+    serve_demo = ["--seed", "--epochs", "--threads", "--error-rate",
+                  "--spike-rate", "--spike-us", "--corrupt-rate",
+                  "--budget-us", "--trace-sample", "--trace-seed",
+                  "--profile-hz"]
+    numeric = {
+        ("generate",): ["--users", "--events", "--seed"],
+        ("train",): ["--epochs", "--threads", "--checkpoint-every"],
+        ("search",): ["--event", "--k"],
+        ("serve-demo",): serve_demo,
+        ("metrics",): serve_demo,
+        ("monitor",): serve_demo,
+        ("trace", "t.json"): ["--top"],
+        ("profile", "p.txt"): ["--top"],
+    }
+    for command, flags in numeric.items():
+        for flag in flags:
+            args = [*command, flag, "x"]
+            expect(args, 2, " ".join(repr(a) for a in args),
+                   f"invalid value 'x' for {flag}")
+
+    # The invocations CI and tools/check.sh run parse cleanly: a malformed
+    # --threads (or --top) appended after them is the first flag refused.
+    invocations = [
+        ["serve-demo", "--threads", "1", "--profile-out", "p1.txt",
+         "--profile-hz", "10000"],
+        ["serve-demo", "--threads", "4", "--trace-out", "trace4.json"],
+        ["metrics", "--threads", "4", "--format", "openmetrics", "--out",
+         "metrics.om"],
+        ["metrics", "--threads", "1", "--json", "metrics.json"],
+        ["monitor", "--threads", "4", "--out", "monitor.om"],
+    ]
+    for args in invocations:
+        expect(args + ["--threads", "0"], 2, " ".join(args),
+               "invalid value '0' for --threads")
+    for args in (["profile", "p1.txt", "--top", "5"],
+                 ["profile", "p1.txt", "--folded"]):
+        expect(args + ["--top", "0"], 2, " ".join(args),
+               "invalid value '0' for --top")
 
     with tempfile.TemporaryDirectory() as tmp:
         data = os.path.join(tmp, "data")
